@@ -10,14 +10,17 @@ candidate regresses by more than the threshold, so CI can gate on it:
 
     bench/compare_bench.py BENCH_3.json BENCH_4.json --threshold 0.10
 
-Exit codes: 0 = within threshold, 1 = regression, 2 = usage/IO error.
+Exit codes: 0 = within threshold, 1 = regression, 2 = usage/IO error
+or records that are not comparable.
 
 Only throughput (higher-is-better gauges, currently
 `runner.grid.refs_per_second`) gates the exit code; wall-clock timers
 are printed for context but never fail the run, because absolute wall
 times on shared CI hosts are too noisy to gate on. Files holding
 several grids (a bench that runs more than one experiment) are
-compared grid-by-grid in file order.
+compared grid-by-grid in file order. A grid pair whose
+`runner.grid.jobs` differ measured different quantities, so it is
+refused (exit 2) rather than compared.
 """
 
 import argparse
@@ -32,8 +35,10 @@ def fail_usage(message):
 
 # Higher-is-better gauges that gate the exit code.
 THROUGHPUT_GAUGES = ("runner.grid.refs_per_second",)
+# Must be equal in both records of a pair for the pair to compare.
+LIKE_FOR_LIKE_GAUGES = ("runner.grid.jobs",)
 # Context-only metrics, printed when present in both files.
-CONTEXT_GAUGES = ("runner.grid.wall_seconds", "runner.grid.jobs")
+CONTEXT_GAUGES = ("runner.grid.wall_seconds",)
 
 
 def load_metrics_records(path):
@@ -79,6 +84,14 @@ def gauge(metrics, name, path):
 def compare(baseline, candidate, threshold, base_path, cand_path):
     """Print one grid's comparison; return (name, ratio, regressed)
     per compared throughput gauge (ratio = candidate / baseline)."""
+    for name in LIKE_FOR_LIKE_GAUGES:
+        base = gauge(baseline, name, base_path)
+        cand = gauge(candidate, name, cand_path)
+        if base is not None and cand is not None and base != cand:
+            fail_usage(
+                f"error: {name} differs: {base_path} has {base:g}, "
+                f"{cand_path} has {cand:g} — the records measured "
+                f"different quantities; rerun the candidate alike")
     compared = []
     for name in THROUGHPUT_GAUGES:
         base = gauge(baseline, name, base_path)

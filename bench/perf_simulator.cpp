@@ -2,13 +2,11 @@
  * @file
  * google-benchmark microbenchmarks: trace-generation and simulation
  * throughput (references per second) for every scheme, the trace
- * decode pass (BM_Decode), decoded-vs-legacy single-cell simulation
- * (BM_Simulate vs BM_SimulateDecoded), plus the parallel experiment
- * runner at several job counts (BM_RunGrid/1 is the sequential
- * baseline; the default-jobs run should approach a jobs-fold speedup
- * on an idle multi-core host). BM_RunGrid uses the decode-once dense
- * pipeline (the production default); BM_RunGridLegacy pins the
- * sparse engine for before/after comparison.
+ * decode pass (BM_Decode), single-cell simulation of a decoded stream
+ * (BM_SimulateDecoded), plus the parallel experiment runner at
+ * several job counts (BM_RunGrid/1 is the sequential baseline; the
+ * default-jobs run should approach a jobs-fold speedup on an idle
+ * multi-core host).
  *
  * The sharded-cell engine (sim/job.hh) gets its own coverage:
  * BM_SimulateSharded (one large cell at several shard counts) and
@@ -76,26 +74,6 @@ BM_GenerateTrace(benchmark::State &state)
 BENCHMARK(BM_GenerateTrace)->Arg(50'000)->Arg(200'000);
 
 void
-BM_Simulate(benchmark::State &state, const char *scheme)
-{
-    const Trace &trace = benchTrace();
-    for (auto _ : state) {
-        const SimResult result = simulateTrace(trace, scheme);
-        benchmark::DoNotOptimize(result.totalRefs);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK_CAPTURE(BM_Simulate, dir1nb, "Dir1NB");
-BENCHMARK_CAPTURE(BM_Simulate, wti, "WTI");
-BENCHMARK_CAPTURE(BM_Simulate, dir0b, "Dir0B");
-BENCHMARK_CAPTURE(BM_Simulate, dragon, "Dragon");
-BENCHMARK_CAPTURE(BM_Simulate, dirnnb, "DirNNB");
-BENCHMARK_CAPTURE(BM_Simulate, berkeley, "Berkeley");
-BENCHMARK_CAPTURE(BM_Simulate, dir2b, "Dir2B");
-
-void
 BM_Decode(benchmark::State &state)
 {
     const Trace &trace = benchTrace();
@@ -141,13 +119,13 @@ gridSuite()
     return traces;
 }
 
+/** The paper grid through the runner (Arg = jobs; 0 = default
+ *  concurrency, DIRSIM_JOBS / hardware threads). */
 void
-runGridBench(benchmark::State &state, bool decode)
+BM_RunGrid(benchmark::State &state)
 {
-    // Arg 0 = default concurrency (DIRSIM_JOBS / hardware threads).
     RunnerConfig config;
     config.jobs = static_cast<unsigned>(state.range(0));
-    config.decode = decode;
     const ExperimentRunner runner(config);
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
@@ -161,25 +139,8 @@ runGridBench(benchmark::State &state, bool decode)
         static_cast<std::int64_t>(grid_refs));
 }
 
-/** The production pipeline: decode-once streams + dense arenas. */
-void
-BM_RunGrid(benchmark::State &state)
-{
-    runGridBench(state, true);
-}
 BENCHMARK(BM_RunGrid)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/** The pre-decode sparse engine, kept for before/after comparison. */
-void
-BM_RunGridLegacy(benchmark::State &state)
-{
-    runGridBench(state, false);
-}
-BENCHMARK(BM_RunGridLegacy)
-    ->Arg(1)->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -211,7 +172,6 @@ BM_RunGridSharded(benchmark::State &state)
 {
     RunnerConfig config;
     config.jobs = 1;
-    config.decode = true;
     config.shards.shards = static_cast<unsigned>(state.range(0));
     const ExperimentRunner runner(config);
     std::uint64_t grid_refs = 0;
@@ -263,7 +223,6 @@ BM_ScalingGrid(benchmark::State &state)
     traces.push_back(scalingTrace(n, params));
     RunnerConfig config;
     config.jobs = 1;
-    config.decode = true;
     const ExperimentRunner runner(config);
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
@@ -378,8 +337,7 @@ measureScalingShardCurve(MetricRegistry &metrics)
     for (const unsigned shards : {1u, 4u, 16u}) {
         RunnerConfig config;
         config.jobs = 1;
-        config.decode = true;
-        config.shards.shards = shards;
+            config.shards.shards = shards;
         const ExperimentRunner runner(config);
         GridResult grid;
         const double seconds = secondsOf([&] {

@@ -4,11 +4,15 @@
 # record's runner.grid.refs_per_second against the committed baseline
 # via bench/compare_bench.py. The threshold is
 # deliberately generous — the gate exists to catch hot-path
-# regressions (an accidental sparse fallback, a per-reference
-# allocation), not scheduler noise on a loaded host.
+# regressions (a per-reference allocation, a hash probe back on the
+# hot path), not scheduler noise on a loaded host. The grids run at
+# DIRSIM_JOBS=1 because the baseline's records were taken at jobs=1:
+# compare_bench.py refuses pairs whose runner.grid.jobs differ, so a
+# bigger host cannot hide a sequential regression.
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
         DIRSIM_BENCH_JSON=${WORKDIR}/perf_smoke.jsonl
+        DIRSIM_JOBS=1
         ${BENCH} --benchmark_filter=^$
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

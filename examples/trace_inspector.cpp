@@ -12,10 +12,10 @@
  * Prints the Table 3 style trace characteristics, the Table 4 style
  * event frequencies for every implemented scheme, and the bus-cycle
  * costs on both bus models. File inputs go through the streaming
- * TraceSource API (trace/reader.hh): characterization and every
- * simulation re-stream the file in bounded memory, and the integrity
- * line reports the container format — for binary v2, the trailing
- * FNV-1a checksum is verified as each pass drains the file.
+ * TraceSource API (trace/reader.hh): characterization streams the
+ * file in bounded memory, every simulation decodes it once, and the
+ * integrity line reports the container format — for binary v2, the
+ * trailing FNV-1a checksum is verified as each pass drains the file.
  */
 
 #include <cstdlib>
@@ -95,14 +95,12 @@ main(int argc, char **argv)
             stats = computeTraceStats(*source);
             printTraceStats(stats);
 
-            // One validating scan sizes the coherence domain; each
-            // scheme then re-streams the file in bounded memory.
+            // One validating scan rejects a malformed file before any
+            // simulation; each scheme then decodes and replays it.
             const SimConfig sim;
-            const TraceFileInfo info =
-                scanTraceFile(input, sim.sharing);
+            scanTraceFile(input, sim.sharing);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTraceFile(
-                    input, scheme, sim, info.caches));
+                results.push_back(simulateTraceFile(input, scheme, sim));
         } else {
             const Trace trace = generateTrace(input, refs, seed);
             std::cout << "=== trace characteristics: " << trace.name()

@@ -35,7 +35,7 @@ inline constexpr CacheBlockState stateNotPresent = 0;
 class CacheModel
 {
   public:
-    /** Callback invoked with (block, state) on a replacement. */
+    /** Callback invoked with (block key, state) on a replacement. */
     using EvictionHook = std::function<void(BlockNum, CacheBlockState)>;
 
     virtual ~CacheModel() = default;
@@ -78,17 +78,17 @@ class CacheModel
     virtual void touch(BlockNum block) { (void)block; }
 
     /**
-     * Announce that every future block key lies in
-     * [0, @p block_count), inviting the cache to switch to dense
-     * (array-indexed) storage. The cache must be empty. Optional:
-     * the default keeps whatever storage the cache already uses, so
-     * sparse implementations stay correct — dense keys are ordinary
-     * block numbers to them.
+     * Size the cache for block keys in [0, @p block_count): the
+     * densified block indices of a decoded trace (sim/decoded.hh).
+     * Must be called on an empty cache, before the first set().
+     *
+     * @param block_labels original block number per index (must
+     *        outlive the cache), for caches whose placement depends
+     *        on address bits; nullptr means every key is its own
+     *        block number
      */
-    virtual void reserveBlocks(std::uint64_t block_count)
-    {
-        (void)block_count;
-    }
+    virtual void reserveBlocks(std::uint64_t block_count,
+                               const BlockNum *block_labels = nullptr) = 0;
 
     /**
      * Register the hook invoked when replacement evicts a block.

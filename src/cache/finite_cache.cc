@@ -34,16 +34,31 @@ FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg)
     sets.resize(cfg.numSets());
 }
 
+std::size_t
+FiniteCache::setIndex(BlockNum block) const
+{
+    const BlockNum real = labels != nullptr ? labels[block] : block;
+    return real & (sets.size() - 1);
+}
+
 FiniteCache::Set &
 FiniteCache::setFor(BlockNum block)
 {
-    return sets[block & (sets.size() - 1)];
+    return sets[setIndex(block)];
 }
 
 const FiniteCache::Set &
 FiniteCache::setFor(BlockNum block) const
 {
-    return sets[block & (sets.size() - 1)];
+    return sets[setIndex(block)];
+}
+
+void
+FiniteCache::reserveBlocks(std::uint64_t, const BlockNum *block_labels)
+{
+    panicIfNot(resident == 0,
+               "FiniteCache::reserveBlocks on a non-empty cache");
+    labels = block_labels;
 }
 
 CacheBlockState

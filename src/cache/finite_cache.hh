@@ -10,7 +10,6 @@
 #define DIRSIM_CACHE_FINITE_CACHE_HH
 
 #include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -41,6 +40,13 @@ struct FiniteCacheConfig
  * The protocol engine registers the callback so an evicted dirty
  * block can be written back and the directory updated, keeping the
  * global coherence state consistent.
+ *
+ * Block keys are the engine's densified block indices; the set is
+ * chosen by the key's original block number (the labels passed to
+ * reserveBlocks()), so set placement, LRU order, and therefore every
+ * eviction are those of a cache indexed by real addresses. Lines and
+ * the eviction hook carry the key itself. Without labels every key
+ * is its own block number.
  */
 class FiniteCache : public CacheModel
 {
@@ -69,6 +75,10 @@ class FiniteCache : public CacheModel
     /** Mark @p block most-recently-used without changing its state. */
     void touch(BlockNum block) override;
 
+    /** Index sets by @p block_labels[key] from now on (see above). */
+    void reserveBlocks(std::uint64_t block_count,
+                       const BlockNum *block_labels = nullptr) override;
+
     const FiniteCacheConfig &config() const { return cfg; }
 
     /** Total LRU evictions performed. */
@@ -83,6 +93,8 @@ class FiniteCache : public CacheModel
     /** One LRU list per set: front == most recently used. */
     using Set = std::list<Line>;
 
+    /** Set of @p block: its real block number's low bits. */
+    std::size_t setIndex(BlockNum block) const;
     Set &setFor(BlockNum block);
     const Set &setFor(BlockNum block) const;
 
@@ -91,6 +103,8 @@ class FiniteCache : public CacheModel
     std::size_t resident = 0;
     std::uint64_t evicted = 0;
     EvictionHook onEvict;
+    /** Original block number per key; nullptr = identity. */
+    const BlockNum *labels = nullptr;
 };
 
 } // namespace dirsim

@@ -200,37 +200,25 @@ CoarseVectorDirectory::CoarseVectorDirectory(unsigned num_caches_arg,
 CoarseVectorDirectory::Entry &
 CoarseVectorDirectory::entry(BlockNum block)
 {
-    if (denseMode) {
-        panicIfNot(block < dense.size(),
-                   "CoarseVectorDirectory: block ", block,
-                   " outside the dense arena of ", dense.size(),
-                   " blocks");
-        return dense[block];
-    }
-    const auto it = entries.find(block);
-    if (it != entries.end())
-        return it->second;
-    return entries.emplace(block, Entry(caches, regionGranularity))
-        .first->second;
+    panicIfNot(block < entries.size(),
+               "CoarseVectorDirectory: block ", block,
+               " outside the reserved ", entries.size(), " blocks");
+    return entries[block];
 }
 
-const CoarseVectorDirectory::Entry *
-CoarseVectorDirectory::find(BlockNum block) const
+const CoarseVectorDirectory::Entry &
+CoarseVectorDirectory::entry(BlockNum block) const
 {
-    if (denseMode)
-        return block < dense.size() ? &dense[block] : nullptr;
-    const auto it = entries.find(block);
-    return it == entries.end() ? nullptr : &it->second;
+    panicIfNot(block < entries.size(),
+               "CoarseVectorDirectory: block ", block,
+               " outside the reserved ", entries.size(), " blocks");
+    return entries[block];
 }
 
 void
-CoarseVectorDirectory::reserveDense(std::uint64_t block_count)
+CoarseVectorDirectory::reserveBlocks(std::uint64_t block_count)
 {
-    panicIfNot(entries.empty() && !denseMode,
-               "CoarseVectorDirectory::reserveDense on a touched "
-               "directory");
-    dense.assign(block_count, Entry(caches, regionGranularity));
-    denseMode = true;
+    entries.assign(block_count, Entry(caches, regionGranularity));
 }
 
 } // namespace dirsim

@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -197,9 +196,8 @@ class CoarseVector
  * A directory whose entries keep a dirty bit plus a CoarseVector, for
  * the Section 6 limited-broadcast evaluation.
  *
- * reserveDense() pre-materializes one entry per densified block index
- * (see FullMapDirectory::reserveDense), turning entry access into an
- * array load for decode-once simulation streams.
+ * reserveBlocks() materializes one entry per densified block index
+ * (see FullMapDirectory), so entry access is an array load.
  */
 class CoarseVectorDirectory
 {
@@ -221,25 +219,21 @@ class CoarseVectorDirectory
     explicit CoarseVectorDirectory(unsigned num_caches_arg,
                                    unsigned region_size_arg = 0);
 
+    /** Entry of @p block; panics outside the reserved blocks. */
     Entry &entry(BlockNum block);
-    const Entry *find(BlockNum block) const;
+    const Entry &entry(BlockNum block) const;
     unsigned numCaches() const { return caches; }
 
     /** Region granularity of the entries (0 = ternary). */
     unsigned regionSize() const { return regionGranularity; }
 
-    /** Switch to dense entry storage; see FullMapDirectory. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
+    /** Size for blocks [0, @p block_count); see FullMapDirectory. */
+    void reserveBlocks(std::uint64_t block_count);
 
   private:
     unsigned caches;
     unsigned regionGranularity;
-    std::unordered_map<BlockNum, Entry> entries;
-    std::vector<Entry> dense;
-    bool denseMode = false;
+    std::vector<Entry> entries;
 };
 
 } // namespace dirsim

@@ -83,38 +83,26 @@ LimitedDirectory::LimitedDirectory(unsigned num_pointers_arg,
 LimitedEntry &
 LimitedDirectory::entry(BlockNum block)
 {
-    if (denseMode) {
-        panicIfNot(block < dense.size(),
-                   "LimitedDirectory: block ", block,
-                   " outside the dense arena of ", dense.size(),
-                   " blocks");
-        return dense[block];
-    }
-    const auto it = entries.find(block);
-    if (it != entries.end())
-        return it->second;
-    return entries
-        .emplace(block, LimitedEntry(numPointers, allowBroadcast))
-        .first->second;
+    panicIfNot(block < entries.size(),
+               "LimitedDirectory: block ", block, " outside the reserved ",
+               entries.size(), " blocks");
+    return entries[block];
 }
 
-const LimitedEntry *
-LimitedDirectory::find(BlockNum block) const
+const LimitedEntry &
+LimitedDirectory::entry(BlockNum block) const
 {
-    if (denseMode)
-        return block < dense.size() ? &dense[block] : nullptr;
-    const auto it = entries.find(block);
-    return it == entries.end() ? nullptr : &it->second;
+    panicIfNot(block < entries.size(),
+               "LimitedDirectory: block ", block, " outside the reserved ",
+               entries.size(), " blocks");
+    return entries[block];
 }
 
 void
-LimitedDirectory::reserveDense(std::uint64_t block_count)
+LimitedDirectory::reserveBlocks(std::uint64_t block_count)
 {
-    panicIfNot(entries.empty() && !denseMode,
-               "LimitedDirectory::reserveDense on a touched directory");
-    dense.assign(block_count,
-                 LimitedEntry(numPointers, allowBroadcast));
-    denseMode = true;
+    entries.assign(block_count,
+                   LimitedEntry(numPointers, allowBroadcast));
 }
 
 } // namespace dirsim

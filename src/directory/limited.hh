@@ -10,7 +10,6 @@
 #define DIRSIM_DIRECTORY_LIMITED_HH
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -115,11 +114,9 @@ class LimitedEntry
 };
 
 /**
- * Sparse map of LimitedEntry by block, mirroring FullMapDirectory.
- *
- * reserveDense() pre-materializes one entry per densified block index
- * (see FullMapDirectory::reserveDense), turning entry access into an
- * array load for decode-once simulation streams.
+ * One LimitedEntry per block, mirroring FullMapDirectory:
+ * reserveBlocks() materializes an entry for every densified block
+ * index, so entry access is an array load.
  */
 class LimitedDirectory
 {
@@ -130,28 +127,20 @@ class LimitedDirectory
      */
     LimitedDirectory(unsigned num_pointers_arg, bool allow_broadcast_arg);
 
+    /** Entry of @p block; panics outside the reserved blocks. */
     LimitedEntry &entry(BlockNum block);
-    const LimitedEntry *find(BlockNum block) const;
-    std::size_t trackedBlocks() const
-    {
-        return denseMode ? dense.size() : entries.size();
-    }
+    const LimitedEntry &entry(BlockNum block) const;
 
     unsigned pointerBudget() const { return numPointers; }
     bool broadcastAllowed() const { return allowBroadcast; }
 
-    /** Switch to dense entry storage; see FullMapDirectory. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
+    /** Size for blocks [0, @p block_count); see FullMapDirectory. */
+    void reserveBlocks(std::uint64_t block_count);
 
   private:
     unsigned numPointers;
     bool allowBroadcast;
-    std::unordered_map<BlockNum, LimitedEntry> entries;
-    std::vector<LimitedEntry> dense;
-    bool denseMode = false;
+    std::vector<LimitedEntry> entries;
 };
 
 } // namespace dirsim

@@ -12,7 +12,6 @@
 #define DIRSIM_DIRECTORY_TANG_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -23,10 +22,9 @@ namespace dirsim
 /**
  * Duplicate-tag central directory.
  *
- * reserveDense() switches each duplicate tag store from a hash map to
- * a flat per-block presence/dirty array (for densified block indices,
- * sim/decoded.hh), so a search touches one byte per cache instead of
- * performing one hash probe per cache.
+ * Each duplicate tag store is a flat per-block presence/dirty array
+ * over densified block indices (sim/decoded.hh), sized by
+ * reserveBlocks(), so a search touches one byte per cache.
  */
 class TangDirectory
 {
@@ -74,21 +72,19 @@ class TangDirectory
         return static_cast<unsigned>(dupTags.size());
     }
 
-    /** Switch to dense per-cache tag arrays; must precede records. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arrays. */
-    bool denseStorage() const { return denseMode; }
+    /** Size every tag array for blocks [0, @p block_count), before
+     *  any record. */
+    void reserveBlocks(std::uint64_t block_count);
 
   private:
-    /** Dense tag-slot encoding: absent / present-clean / present-dirty. */
+    /** Tag-slot encoding: absent / present-clean / present-dirty. */
     enum : std::uint8_t { tagAbsent = 0, tagClean = 1, tagDirty = 2 };
 
-    /** Per-cache duplicate tags: block -> dirty flag. */
-    std::vector<std::unordered_map<BlockNum, bool>> dupTags;
-    /** Dense backend: per-cache tag slot per block index. */
-    std::vector<std::vector<std::uint8_t>> denseTags;
-    bool denseMode = false;
+    /** Tag slot of @p block in @p cache's store, range-checked. */
+    std::uint8_t &slot(CacheId cache, BlockNum block);
+
+    /** Per-cache duplicate tags: one slot per block index. */
+    std::vector<std::vector<std::uint8_t>> dupTags;
 };
 
 } // namespace dirsim

@@ -8,7 +8,6 @@
 #ifndef DIRSIM_DIRECTORY_TWO_BIT_HH
 #define DIRSIM_DIRECTORY_TWO_BIT_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -29,7 +28,9 @@ enum class TwoBitState : std::uint8_t
 const char *toString(TwoBitState state);
 
 /**
- * Sparse two-bit directory; absent blocks are NotCached.
+ * Two-bit directory: a flat state array over densified block
+ * indices (sim/decoded.hh), sized by reserveBlocks(), so every
+ * state() probe is one load. Fresh blocks are NotCached.
  *
  * The CleanOne state is the scheme's optimization: a write hit by the
  * sole holder needs no invalidation broadcast.
@@ -58,25 +59,12 @@ class TwoBitDirectory
     /** Record invalidation of all copies. */
     void makeUncached(BlockNum block);
 
-    std::size_t trackedBlocks() const
-    {
-        return denseMode ? dense.size() : states.size();
-    }
-
-    /**
-     * Switch to a flat state array indexed by block in
-     * [0, @p block_count) (see FullMapDirectory::reserveDense); every
-     * state() probe becomes one load. Must precede any state change.
-     */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
+    /** Size for blocks [0, @p block_count), all NotCached, before
+     *  any state change. */
+    void reserveBlocks(std::uint64_t block_count);
 
   private:
-    std::unordered_map<BlockNum, TwoBitState> states;
-    std::vector<TwoBitState> dense;
-    bool denseMode = false;
+    std::vector<TwoBitState> states;
 };
 
 } // namespace dirsim

@@ -153,7 +153,7 @@ Dir0B::checkInvariants(BlockNum block) const
 void
 Dir0B::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

@@ -102,16 +102,16 @@ Dir1NB::checkInvariants(BlockNum block) const
     panicIfNot(sharers.count() <= 1,
                "Dir1NB: block ", block, " resides in ", sharers.count(),
                " caches");
-    const LimitedEntry *entry = dir.find(block);
+    const LimitedEntry &entry = dir.entry(block);
     if (sharers.count() == 1) {
-        panicIfNot(entry != nullptr && entry->pointsTo(sharers.first()),
+        panicIfNot(entry.pointsTo(sharers.first()),
                    "Dir1NB: directory pointer disagrees with the caches "
                    "for block ", block);
-        panicIfNot(entry->dirty
+        panicIfNot(entry.dirty
                        == isDirtyState(cacheState(sharers.first(), block)),
                    "Dir1NB: directory dirty bit stale for block ", block);
-    } else if (entry != nullptr) {
-        panicIfNot(entry->pointerCount() == 0,
+    } else {
+        panicIfNot(entry.pointerCount() == 0,
                    "Dir1NB: dangling directory pointer for block ", block);
     }
 }
@@ -119,7 +119,7 @@ Dir1NB::checkInvariants(BlockNum block) const
 void
 Dir1NB::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

@@ -137,32 +137,26 @@ DirCV::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    const CoarseVectorDirectory::Entry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   "DirCV: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
+    const CoarseVectorDirectory::Entry &entry = dir.entry(block);
     // The defining property: the code always denotes a superset of
     // the true holders.
-    panicIfNot(entry->sharers.decode().isSupersetOf(sharers),
+    panicIfNot(entry.sharers.decode().isSupersetOf(sharers),
                "DirCV: code is not a superset for block ", block);
-    if (entry->dirty) {
+    if (entry.dirty) {
         panicIfNot(sharers.count() == 1,
                    "DirCV: dirty block ", block, " has ",
                    sharers.count(), " sharers");
         if (dir.regionSize() == 0) {
             panicIfNot(
-                entry->sharers.decode().isOnly(sharers.first()),
+                entry.sharers.decode().isOnly(sharers.first()),
                 "DirCV: dirty block ", block,
                 " has an inexact code");
         } else {
             // Region mode cannot be exact: the tightest legal code
             // is the owner's region alone.
-            panicIfNot(entry->sharers.flaggedRegions() == 1,
+            panicIfNot(entry.sharers.flaggedRegions() == 1,
                        "DirCV: dirty block ", block, " flags ",
-                       entry->sharers.flaggedRegions(), " regions");
+                       entry.sharers.flaggedRegions(), " regions");
         }
     }
 }
@@ -170,7 +164,7 @@ DirCV::checkInvariants(BlockNum block) const
 void
 DirCV::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

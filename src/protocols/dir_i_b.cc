@@ -131,22 +131,16 @@ DirIB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    const LimitedEntry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   "DirIB: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
-    if (!entry->broadcastRequired()) {
+    const LimitedEntry &entry = dir.entry(block);
+    if (!entry.broadcastRequired()) {
         // Exact mode: pointers must equal the true sharer set.
-        panicIfNot(entry->pointerCount() == sharers.count(),
+        panicIfNot(entry.pointerCount() == sharers.count(),
                    name(), ": pointer count disagrees for block ", block);
-        for (const CacheId cache : entry->pointerList())
+        for (const CacheId cache : entry.pointerList())
             panicIfNot(sharers.contains(cache),
                        name(), ": stale pointer for block ", block);
     }
-    if (entry->dirty)
+    if (entry.dirty)
         panicIfNot(sharers.count() == 1,
                    name(), ": dirty block ", block, " has ",
                    sharers.count(), " sharers");
@@ -155,7 +149,7 @@ DirIB::checkInvariants(BlockNum block) const
 void
 DirIB::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

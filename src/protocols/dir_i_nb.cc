@@ -138,18 +138,12 @@ DirINB::checkInvariants(BlockNum block) const
                name(), ": block ", block, " resides in ",
                sharers.count(), " caches, budget ",
                dir.pointerBudget());
-    const LimitedEntry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   name(), ": caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
-    panicIfNot(!entry->broadcastRequired(),
+    const LimitedEntry &entry = dir.entry(block);
+    panicIfNot(!entry.broadcastRequired(),
                name(), ": no-broadcast entry in broadcast mode");
-    panicIfNot(entry->pointerCount() == sharers.count(),
+    panicIfNot(entry.pointerCount() == sharers.count(),
                name(), ": pointer count disagrees for block ", block);
-    for (const CacheId cache : entry->pointerList())
+    for (const CacheId cache : entry.pointerList())
         panicIfNot(sharers.contains(cache),
                    name(), ": stale pointer for block ", block);
 }
@@ -157,7 +151,7 @@ DirINB::checkInvariants(BlockNum block) const
 void
 DirINB::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

@@ -108,12 +108,6 @@ DirNNB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    if (!dir.tracked(block)) {
-        panicIfNot(sharers.empty(),
-                   "DirNNB: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
     panicIfNot(dir.sharerSnapshot(block) == sharers,
                "DirNNB: directory present bits disagree with the caches "
                "for block ", block);
@@ -132,7 +126,7 @@ DirNNB::checkInvariants(BlockNum block) const
 void
 DirNNB::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

@@ -31,18 +31,13 @@ void
 CoherenceProtocol::reserveBlocks(std::uint32_t block_count,
                                  const BlockNum *block_labels)
 {
-    panicIfNot(!finiteMode,
-               name(), ": reserveBlocks needs infinite caches; finite "
-               "caches index their sets by real block numbers");
-    panicIfNot(!denseMode, name(), ": reserveBlocks called twice");
-    panicIfNot(holderMap.empty(),
-               name(), ": reserveBlocks on a protocol that already "
-               "processed references");
-    denseHolders.reset(numCaches(), block_count);
-    denseDirtyOwner.assign(block_count, invalidCacheId);
+    panicIfNot(!reserved, name(), ": reserveBlocks called twice");
+    holderSets.reset(numCaches(), block_count);
+    dirtyOwner.assign(block_count, invalidCacheId);
     blockLabels = block_labels;
-    denseMode = true;
-    if (const auto states = oracleStates()) {
+    reserved = true;
+    const auto states = oracleStates();
+    if (states && !finiteMode) {
         // Two-state scheme: cache state is derived from the oracle
         // from here on, so no per-cache arena is ever allocated (see
         // oracleStates() in the header).
@@ -51,7 +46,7 @@ CoherenceProtocol::reserveBlocks(std::uint32_t block_count,
         oracleDirty = states->dirty;
     } else {
         for (const auto &cache : caches)
-            cache->reserveBlocks(block_count);
+            cache->reserveBlocks(block_count, block_labels);
     }
     onReserveBlocks(block_count);
 }
@@ -66,17 +61,7 @@ CoherenceProtocol::handleEviction(CacheId cache, BlockNum block,
                                   CacheBlockState state)
 {
     // The cache already dropped the line; mirror that in the oracle.
-    if (denseMode) {
-        if (block < denseHolders.blockCount()) {
-            denseHolders.remove(block, cache);
-            if (denseDirtyOwner[block] == cache)
-                denseDirtyOwner[block] = invalidCacheId;
-        }
-    } else {
-        const auto it = holderMap.find(block);
-        if (it != holderMap.end())
-            it->second.remove(cache);
-    }
+    dropHolder(cache, block);
     // A modified victim must be written back to memory. This is
     // replacement (capacity/conflict) traffic, accounted in its own
     // operation counter so the coherence costs stay separable.
@@ -90,6 +75,17 @@ CoherenceProtocol::handleEviction(CacheId cache, BlockNum block,
 void
 CoherenceProtocol::onEviction(CacheId, BlockNum, CacheBlockState)
 {
+}
+
+void
+CoherenceProtocol::refOutOfRange(CacheId cache, BlockNum block) const
+{
+    panicIfNot(cache < caches.size(), name(), ": cache id ", cache,
+               " out of range");
+    panic(name(), ": block ", block, " outside the ",
+          holderSets.blockCount(), " reserved blocks",
+          reserved ? "" : " (call reserveBlocks before the first "
+                          "reference)");
 }
 
 void
@@ -130,13 +126,11 @@ void
 CoherenceProtocol::tracedRef(CacheId cache, BlockNum block,
                              bool first_ref, bool is_write)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
-    // Dense runs key blocks by densified index; label sink events
-    // with the original block numbers so traces stay meaningful.
+    checkRef(cache, block);
+    // Blocks are keyed by densified index; label sink events with the
+    // original block numbers so traces stay meaningful.
     const BlockNum label =
-        blockLabels != nullptr && block < denseHolders.blockCount()
-            ? blockLabels[block]
-            : block;
+        blockLabels != nullptr ? blockLabels[block] : block;
     traceSink->dataRef(label, cache, is_write);
 
     bool sampled = false;
@@ -184,10 +178,10 @@ void
 CoherenceProtocol::processRead(CacheId cache, BlockNum block,
                                bool first_ref)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
+    checkRef(cache, block);
     eventCounts.add(EventType::Read);
 
-    if (oracleMode ? denseHolders.contains(block, cache)
+    if (oracleMode ? holderSets.contains(block, cache)
                    : caches[cache]->contains(block)) {
         eventCounts.add(EventType::RdHit);
         if (!oracleMode)
@@ -214,7 +208,7 @@ void
 CoherenceProtocol::processWrite(CacheId cache, BlockNum block,
                                 bool first_ref)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
+    checkRef(cache, block);
     eventCounts.add(EventType::Write);
 
     const CacheBlockState state = stateOf(cache, block);
@@ -244,12 +238,12 @@ CoherenceProtocol::processWrite(CacheId cache, BlockNum block,
 CacheBlockState
 CoherenceProtocol::stateOf(CacheId cache, BlockNum block) const
 {
+    if (block >= holderSets.blockCount())
+        return stateNotPresent;
     if (oracleMode) {
-        if (block >= denseHolders.blockCount()
-            || !denseHolders.contains(block, cache))
+        if (!holderSets.contains(block, cache))
             return stateNotPresent;
-        return denseDirtyOwner[block] == cache ? oracleDirty
-                                               : oracleClean;
+        return dirtyOwner[block] == cache ? oracleDirty : oracleClean;
     }
     return caches[cache]->lookup(block);
 }
@@ -264,69 +258,37 @@ CoherenceProtocol::cacheState(CacheId cache, BlockNum block) const
 SharerSet
 CoherenceProtocol::holders(BlockNum block) const
 {
-    if (denseMode) {
-        if (block < denseHolders.blockCount())
-            return denseHolders.snapshot(block);
-        return SharerSet(numCaches());
-    }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end())
-        return SharerSet(numCaches());
-    return it->second;
+    if (block < holderSets.blockCount())
+        return holderSets.snapshot(block);
+    return SharerSet(numCaches());
 }
 
 void
 CoherenceProtocol::snapshotHolders(BlockNum block, CacheIdList &out) const
 {
     out.clear();
-    if (denseMode) {
-        if (block < denseHolders.blockCount())
-            denseHolders.appendTo(block, out);
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it != holderMap.end())
-        it->second.forEach([&out](CacheId holder) { out.push(holder); });
+    if (block < holderSets.blockCount())
+        holderSets.appendTo(block, out);
 }
 
 unsigned
 CoherenceProtocol::holderCount(BlockNum block) const
 {
-    if (denseMode) {
-        return block < denseHolders.blockCount()
-                   ? denseHolders.count(block)
-                   : 0;
-    }
-    const auto it = holderMap.find(block);
-    return it == holderMap.end() ? 0 : it->second.count();
+    return block < holderSets.blockCount() ? holderSets.count(block) : 0;
 }
 
 CacheId
 CoherenceProtocol::firstHolder(BlockNum block) const
 {
-    if (denseMode)
-        return denseHolders.first(block);
-    const auto it = holderMap.find(block);
-    panicIfNot(it != holderMap.end(),
-               name(), ": firstHolder on untracked block ", block);
-    return it->second.first();
+    return holderSets.first(block);
 }
 
 std::vector<BlockNum>
 CoherenceProtocol::residentBlocks() const
 {
     std::vector<BlockNum> blocks;
-    if (denseMode) {
-        for (BlockNum block = 0; block < denseHolders.blockCount();
-             ++block) {
-            if (!denseHolders.empty(block))
-                blocks.push_back(block);
-        }
-        return blocks;
-    }
-    blocks.reserve(holderMap.size());
-    for (const auto &[block, sharers] : holderMap) {
-        if (!sharers.empty())
+    for (BlockNum block = 0; block < holderSets.blockCount(); ++block) {
+        if (!holderSets.empty(block))
             blocks.push_back(block);
     }
     return blocks;
@@ -360,10 +322,10 @@ CoherenceProtocol::checkInvariants(BlockNum block) const
                name(), ": block ", block, " is dirty in ", dirty_count,
                " caches");
 
-    // The dense dirty-owner shadow must agree with the cache states
-    // it summarizes.
-    if (denseMode && block < denseDirtyOwner.size()) {
-        const CacheId owner = denseDirtyOwner[block];
+    // The dirty-owner shadow must agree with the cache states it
+    // summarizes.
+    if (block < dirtyOwner.size()) {
+        const CacheId owner = dirtyOwner[block];
         if (dirty_count == 0) {
             panicIfNot(owner == invalidCacheId,
                        name(), ": stale dirty owner ", owner,
@@ -381,15 +343,9 @@ CoherenceProtocol::checkInvariants(BlockNum block) const
 void
 CoherenceProtocol::checkAllInvariants() const
 {
-    if (denseMode) {
-        // The arena covers every block the trace can touch, so check
-        // all of it: absent blocks assert that no cache holds them.
-        for (BlockNum block = 0; block < denseHolders.blockCount();
-             ++block)
-            checkInvariants(block);
-        return;
-    }
-    for (const auto &[block, sharers] : holderMap)
+    // The arena covers every block the trace can touch, so check all
+    // of it: absent blocks assert that no cache holds them.
+    for (BlockNum block = 0; block < holderSets.blockCount(); ++block)
         checkInvariants(block);
 }
 
@@ -397,40 +353,22 @@ CoherenceProtocol::Others
 CoherenceProtocol::classifyOthers(CacheId cache, BlockNum block) const
 {
     Others others;
-    if (denseMode) {
-        if (block >= denseHolders.blockCount())
-            return others;
-        // The holder oracle answers directly: an O(1) count, a
-        // reverse scan for a representative holder (the same cache
-        // the legacy per-cache survey ends on), and the tracked
-        // dirty owner instead of a state probe per holder.
-        const unsigned num_others =
-            denseHolders.countExcluding(block, cache);
-        if (num_others == 0)
-            return others;
-        others.numOthers = num_others;
-        others.anyHolder = denseHolders.lastExcluding(block, cache);
-        const CacheId owner = denseDirtyOwner[block];
-        if (owner != invalidCacheId && owner != cache) {
-            others.anyDirty = true;
-            others.dirtyOwner = owner;
-        }
+    if (block >= holderSets.blockCount())
         return others;
+    // The holder oracle answers directly: an O(1) count, a reverse
+    // scan for a representative holder (the last other holder in
+    // ascending order), and the tracked dirty owner instead of a
+    // state probe per holder.
+    const unsigned num_others = holderSets.countExcluding(block, cache);
+    if (num_others == 0)
+        return others;
+    others.numOthers = num_others;
+    others.anyHolder = holderSets.lastExcluding(block, cache);
+    const CacheId owner = dirtyOwner[block];
+    if (owner != invalidCacheId && owner != cache) {
+        others.anyDirty = true;
+        others.dirtyOwner = owner;
     }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end())
-        return others;
-    it->second.forEach([&](CacheId holder) {
-        if (holder == cache)
-            return;
-        ++others.numOthers;
-        others.anyHolder = holder;
-        const CacheBlockState state = caches[holder]->lookup(block);
-        if (isDirtyState(state)) {
-            others.anyDirty = true;
-            others.dirtyOwner = holder;
-        }
-    });
     return others;
 }
 
@@ -445,37 +383,18 @@ CoherenceProtocol::install(CacheId cache, BlockNum block,
     // write.
     if (!oracleMode)
         caches[cache]->set(block, state);
-    if (denseMode) {
-        // Branch-then-panic: panicIfNot would build the message (a
-        // name() string concatenation) on every install, and this
-        // runs once per cache fill.
-        if (block >= denseHolders.blockCount()) [[unlikely]]
-            panic(name(), ": block ", block,
-                  " outside the dense arena of ",
-                  denseHolders.blockCount(), " blocks");
-        denseHolders.add(block, cache);
-        if (isDirtyState(state))
-            denseDirtyOwner[block] = cache;
-        else if (denseDirtyOwner[block] == cache)
-            denseDirtyOwner[block] = invalidCacheId;
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end()) {
-        SharerSet sharers(numCaches());
-        sharers.add(cache);
-        holderMap.emplace(block, std::move(sharers));
-    } else {
-        it->second.add(cache);
-    }
+    holderSets.add(block, cache);
+    noteOwner(cache, block, state);
 }
 
 void
 CoherenceProtocol::setState(CacheId cache, BlockNum block,
                             CacheBlockState state)
 {
+    // Branch-then-panic: panicIfNot would build the message (a name()
+    // string concatenation) on every call.
     if (oracleMode) {
-        if (!denseHolders.contains(block, cache)) [[unlikely]]
+        if (!holderSets.contains(block, cache)) [[unlikely]]
             panic(name(), ": setState for a block cache ", cache,
                   " does not hold");
     } else {
@@ -484,12 +403,7 @@ CoherenceProtocol::setState(CacheId cache, BlockNum block,
                   " does not hold");
         caches[cache]->set(block, state);
     }
-    if (denseMode) {
-        if (isDirtyState(state))
-            denseDirtyOwner[block] = cache;
-        else if (denseDirtyOwner[block] == cache)
-            denseDirtyOwner[block] = invalidCacheId;
-    }
+    noteOwner(cache, block, state);
 }
 
 void
@@ -497,17 +411,15 @@ CoherenceProtocol::invalidateIn(CacheId cache, BlockNum block)
 {
     if (!oracleMode)
         caches[cache]->invalidate(block);
-    if (denseMode) {
-        if (block < denseHolders.blockCount()) {
-            denseHolders.remove(block, cache);
-            if (denseDirtyOwner[block] == cache)
-                denseDirtyOwner[block] = invalidCacheId;
-        }
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it != holderMap.end())
-        it->second.remove(cache);
+    dropHolder(cache, block);
+}
+
+void
+CoherenceProtocol::dropHolder(CacheId cache, BlockNum block)
+{
+    holderSets.remove(block, cache);
+    if (dirtyOwner[block] == cache)
+        dirtyOwner[block] = invalidCacheId;
 }
 
 } // namespace dirsim

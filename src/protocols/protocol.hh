@@ -20,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -112,29 +111,26 @@ class CoherenceProtocol
     bool finiteCaches() const { return finiteMode; }
 
     /**
-     * Switch the engine to dense block arenas: every future block key
-     * is a densified index in [0, @p block_count) (sim/decoded.hh),
-     * so the holder oracle becomes a flat SharerStore arena, each
-     * InfiniteCache a flat state array, and each scheme's directory a
-     * pre-materialized entry arena (via onReserveBlocks()). The
-     * per-reference hot path is then hash-free: every probe is an
-     * array load.
+     * Size the engine for @p block_count blocks: every block key is a
+     * densified index in [0, @p block_count) (sim/decoded.hh), so the
+     * holder oracle is a flat SharerStore arena, each cache a flat
+     * array (or, for finite caches, LRU sets chosen by the labels),
+     * and each scheme's directory a pre-materialized entry arena (via
+     * onReserveBlocks()). Every probe on the per-reference hot path
+     * is then an array load.
      *
-     * Must be called on a fresh protocol (before any reference) and
-     * only for infinite caches — a FiniteCache's set indexing depends
-     * on real block numbers, so dense indices would change replacement
-     * behavior (panics on both misuses).
+     * Must be called exactly once, on a fresh protocol, before the
+     * first reference; read()/write() panic on a block outside the
+     * reserved range, which includes every block of an unreserved
+     * protocol.
      *
-     * @param block_labels optional original block number per dense
-     *        index (must outlive the protocol); used only to label
-     *        trace-sink events with real block numbers. nullptr
-     *        labels events with the dense indices themselves.
+     * @param block_labels optional original block number per index
+     *        (must outlive the protocol): finite caches pick their
+     *        sets by it, and trace-sink events are labelled with it.
+     *        nullptr makes every index its own block number.
      */
     void reserveBlocks(std::uint32_t block_count,
                        const BlockNum *block_labels = nullptr);
-
-    /** True once reserveBlocks() switched to dense arenas. */
-    bool denseBlocks() const { return denseMode; }
 
     /** A two-state scheme's {clean, dirty} cache-state constants. */
     struct OracleStates
@@ -144,24 +140,23 @@ class CoherenceProtocol
     };
 
     /**
-     * Dense-mode fast-path opt-in for two-state schemes. A protocol
-     * whose per-cache state is fully determined by the holder oracle
-     * — resident means `clean` unless the cache is the tracked dirty
-     * owner, in which case `dirty` — returns its state pair here. In
-     * dense mode the engine then derives every cache-state query
-     * from the oracle and maintains *no* per-cache block arenas: at
-     * large N those arenas are numCaches × blockCount bytes of
-     * working set whose every probe is a cache miss, while the
-     * oracle entry is already hot from classifyOthers(). Sparse mode
-     * and finite caches always keep real caches, so the
-     * DIRSIM_DECODE=0 identity suites diff a wrong opt-in loudly.
+     * Fast-path opt-in for two-state schemes. A protocol whose
+     * per-cache state is fully determined by the holder oracle —
+     * resident means `clean` unless the cache is the tracked dirty
+     * owner, in which case `dirty` — returns its state pair here.
+     * With infinite caches the engine then derives every cache-state
+     * query from the oracle and maintains *no* per-cache block
+     * arenas: at large N those arenas are numCaches × blockCount
+     * bytes of working set whose every probe is a cache miss, while
+     * the oracle entry is already hot from classifyOthers(). Finite
+     * caches always keep real caches, because replacement needs them.
      */
     virtual std::optional<OracleStates> oracleStates() const
     {
         return std::nullopt;
     }
 
-    /** True when dense cache state is derived from the oracle. */
+    /** True when cache state is derived from the oracle. */
     bool oracleDerivedState() const { return oracleMode; }
 
     /** Protocol state of @p block in @p cache (stateNotPresent if out). */
@@ -254,8 +249,8 @@ class CoherenceProtocol
     /**
      * Scheme hook of reserveBlocks(): pre-size the scheme's directory
      * for @p block_count densified block indices (typically one
-     * reserveDense() call). The base class has already sized the
-     * holder oracle and the caches.
+     * directory reserveBlocks() call). The base class has already
+     * sized the holder oracle and the caches.
      */
     virtual void onReserveBlocks(std::uint32_t block_count);
 
@@ -294,26 +289,46 @@ class CoherenceProtocol
     /** cacheState() body without the cache-id range check. */
     CacheBlockState stateOf(CacheId cache, BlockNum block) const;
 
+    /** Panic unless @p cache and @p block are in range. */
+    void checkRef(CacheId cache, BlockNum block) const
+    {
+        if (cache >= caches.size()
+            || block >= holderSets.blockCount()) [[unlikely]]
+            refOutOfRange(cache, block);
+    }
+
+    [[noreturn]] void refOutOfRange(CacheId cache, BlockNum block) const;
+
+    /** Track @p cache as @p block's dirty owner iff @p state is dirty. */
+    void noteOwner(CacheId cache, BlockNum block, CacheBlockState state)
+    {
+        if (isDirtyState(state))
+            dirtyOwner[block] = cache;
+        else if (dirtyOwner[block] == cache)
+            dirtyOwner[block] = invalidCacheId;
+    }
+
+    /** @p block left @p cache: update the oracle and dirty owner. */
+    void dropHolder(CacheId cache, BlockNum block);
+
     std::vector<std::unique_ptr<CacheModel>> caches;
-    /** block -> exact holder set, kept in sync by the helpers. */
-    std::unordered_map<BlockNum, SharerSet> holderMap;
     /**
-     * Dense holder oracle (reserveBlocks()): the hybrid inline/spill
-     * arena, one allocation for every block's sharer set.
+     * The holder oracle: the exact set of caches holding each block,
+     * kept in sync by the helpers in one hybrid inline/spill arena.
      */
-    SharerStore denseHolders;
+    SharerStore holderSets;
     /**
-     * Dense mode only: the cache holding each block dirty (or
-     * invalidCacheId), maintained by install/setState/invalidateIn so
+     * The cache holding each block dirty (or invalidCacheId),
+     * maintained by install/setState/invalidateIn/eviction so
      * classifyOthers() needs no per-cache state survey.
      */
-    std::vector<CacheId> denseDirtyOwner;
-    /** Original block number per dense index (may be nullptr). */
+    std::vector<CacheId> dirtyOwner;
+    /** Original block number per index (may be nullptr). */
     const BlockNum *blockLabels = nullptr;
     Histogram cleanWriteHist;
     bool finiteMode = false;
-    bool denseMode = false;
-    /** Dense + oracleStates(): cache state derived, no arenas. */
+    bool reserved = false;
+    /** Infinite caches + oracleStates(): cache state derived. */
     bool oracleMode = false;
     CacheBlockState oracleClean = stateNotPresent;
     CacheBlockState oracleDirty = stateNotPresent;

@@ -149,15 +149,8 @@ YenFu::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    if (dir.tracked(block)) {
-        panicIfNot(dir.sharerSnapshot(block) == sharers,
-                   "YenFu: directory present bits disagree for block ",
-                   block);
-    } else {
-        panicIfNot(sharers.empty(),
-                   "YenFu: caches hold block ", block,
-                   " the directory never saw");
-    }
+    panicIfNot(dir.sharerSnapshot(block) == sharers,
+               "YenFu: directory present bits disagree for block ", block);
     // The single-bit semantics: set iff the sole copy.
     sharers.forEach([&](CacheId holder) {
         const CacheBlockState state = cacheState(holder, block);
@@ -177,7 +170,7 @@ YenFu::checkInvariants(BlockNum block) const
 void
 YenFu::onReserveBlocks(std::uint32_t block_count)
 {
-    dir.reserveDense(block_count);
+    dir.reserveBlocks(block_count);
 }
 
 } // namespace dirsim

@@ -266,15 +266,19 @@ SweepServer::stop()
     if (acceptThread.joinable())
         acceptThread.join();
 
-    // The accept thread was the only spawner, so the handler list is
-    // stable now.
-    std::vector<std::thread> to_join;
+    // The accept thread was the only spawner and reaper, so the
+    // handler list only shrinks by this join now.
+    HandlerList to_join;
     {
         std::lock_guard<std::mutex> lock(stateMutex);
         to_join.swap(handlers);
     }
     for (std::thread &handler : to_join)
         handler.join();
+    {
+        std::lock_guard<std::mutex> lock(stateMutex);
+        finishedHandlers.clear();
+    }
     if (workerThread.joinable())
         workerThread.join();
 }
@@ -286,14 +290,32 @@ SweepServer::acceptLoop()
         const int fd = listener->acceptConnection();
         if (fd < 0)
             return;
-        std::lock_guard<std::mutex> lock(stateMutex);
-        if (stopping) {
-            HttpConnection drop(fd);
-            return;
+        // Reap the handlers that finished since the last accept: a
+        // joinable thread keeps its stack mapped until it is joined.
+        HandlerList finished;
+        {
+            std::lock_guard<std::mutex> lock(stateMutex);
+            if (stopping) {
+                HttpConnection drop(fd);
+                return;
+            }
+            for (const HandlerList::iterator it : finishedHandlers)
+                finished.splice(finished.end(), handlers, it);
+            finishedHandlers.clear();
+            const auto self = handlers.emplace(handlers.end());
+            *self = std::thread(&SweepServer::runHandler, this, fd, self);
         }
-        handlers.emplace_back(&SweepServer::handleConnection, this,
-                              fd);
+        for (std::thread &handler : finished)
+            handler.join();
     }
+}
+
+void
+SweepServer::runHandler(int fd, HandlerList::iterator self)
+{
+    handleConnection(fd);
+    std::lock_guard<std::mutex> lock(stateMutex);
+    finishedHandlers.push_back(self);
 }
 
 void

@@ -54,6 +54,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -173,7 +174,12 @@ class SweepServer
         }
     };
 
+    using HandlerList = std::list<std::thread>;
+
     void acceptLoop();
+    /** A handler thread's body: serve @p fd, then queue @p self for
+     *  the accept loop to join. */
+    void runHandler(int fd, HandlerList::iterator self);
     void handleConnection(int fd);
     void workerLoop();
     void executeRun(RunEntry &entry);
@@ -202,7 +208,10 @@ class SweepServer
     std::unique_ptr<HttpListener> listener;
     std::thread acceptThread;
     std::thread workerThread;
-    std::vector<std::thread> handlers; ///< guarded by stateMutex
+    /** Live handler threads; finished ones are reaped (joined and
+     *  erased) by the accept loop. Both guarded by stateMutex. */
+    HandlerList handlers;
+    std::vector<HandlerList::iterator> finishedHandlers;
 
     mutable std::mutex stateMutex;
     std::condition_variable workCv;   ///< worker: queue/stop changes

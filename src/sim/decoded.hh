@@ -12,16 +12,16 @@
  * cache, and reference counts a simulation needs.
  *
  * The densified block index is the key enabler: with blocks numbered
- * 0..blockCount-1 in order of first appearance, the engine's sparse
- * per-block hash maps become flat arrays
- * (CoherenceProtocol::reserveBlocks), so the per-reference hot path
- * performs no hashing at all. denseToBlock[] retains the original
- * block numbers for trace-sink labeling and for finite-cache runs
- * (whose set indexing needs real addresses).
+ * 0..blockCount-1 in order of first appearance, every per-block store
+ * of the engine is a flat array (CoherenceProtocol::reserveBlocks),
+ * so the per-reference hot path performs no hashing at all.
+ * denseToBlock[] retains the original block numbers for trace-sink
+ * labeling and for finite caches (whose set indexing needs real
+ * addresses).
  *
- * simulateTrace(DecodedTrace, ...) is bit-identical to the raw-trace
- * overloads by construction: it executes the same statement sequence
- * with precomputed operands (golden-tested in tests/sim/decoded_*).
+ * simulateTrace(DecodedTrace, ...) is the engine: every other entry
+ * point decodes and runs it. Its results are pinned by the committed
+ * golden cell records (tests/golden/).
  */
 
 #ifndef DIRSIM_SIM_DECODED_HH
@@ -101,14 +101,6 @@ struct DecodedTrace
 };
 
 /**
- * The DIRSIM_DECODE toggle: true (the default) lets the runner and
- * simulateTraceFile() use the decode-once pipeline; DIRSIM_DECODE=0
- * forces the legacy sparse/streaming path (bounded memory, and the
- * reference implementation the equality tests compare against).
- */
-bool decodeEnabled();
-
-/**
  * Decode an in-memory trace under @p block_bytes / @p sharing.
  * The trace may be empty (simulating the result then fails exactly
  * like simulating the empty trace itself).
@@ -122,28 +114,23 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
 
 /**
  * Decode a trace file in a single streaming read — this both sizes
- * the coherence domain and captures the records, so callers that
- * previously scanned and then re-read the file (simulateTraceFile,
- * ExperimentRunner::runFiles) touch the file exactly once.
+ * the coherence domain and captures the records, so simulateTraceFile
+ * and ExperimentRunner::runFiles touch the file exactly once.
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,
                              SharingModel sharing);
 
 /**
- * Run a decoded stream through @p protocol.
+ * Run a decoded stream through a fresh @p protocol.
  *
- * With infinite caches the engine is switched to dense block arenas
- * (CoherenceProtocol::reserveBlocks) and fed densified indices — the
- * hash-free hot path. Finite-cache protocols are fed the original
- * block numbers through the sparse engine, because replacement
- * depends on real addresses; they still gain the decode (no address
- * hashing, no first-ref set, no pid mapping per reference).
+ * The protocol is sized for the stream's blocks
+ * (CoherenceProtocol::reserveBlocks, labelled with denseToBlock so
+ * finite caches place blocks by their real addresses) and fed
+ * densified indices — the hash-free hot path.
  *
- * The SimResult is bit-identical to the raw-trace overloads for the
- * same records and config. config.blockBytes and config.sharing must
- * equal the decode-time values (fatal otherwise: the densification
- * would not match).
+ * config.blockBytes and config.sharing must equal the decode-time
+ * values (fatal otherwise: the densification would not match).
  *
  * @throws UsageError as simulateTrace(Trace, ...) does for
  *         finite-cache misconfiguration

@@ -141,21 +141,10 @@ struct RunnerConfig
     CellSinkFactory makeCellTraceSink;
 
     /**
-     * Decode each trace once up front (sim/decoded.hh) and share the
-     * immutable decoded stream read-only across all scheme cells, so
-     * every cell runs the hash-free dense path instead of re-paying
-     * the per-reference decode work. Results are bit-identical either
-     * way (asserted by test); disable (or set DIRSIM_DECODE=0) to
-     * force the legacy sparse/streaming engine — e.g. to keep
-     * runFiles() strictly bounded-memory.
-     */
-    bool decode = true;
-
-    /**
      * Intra-cell block sharding (sim/job.hh): how many shards each
-     * decoded cell splits into. The default is one shard — the exact
-     * legacy sequential cell. Cells that cannot shard (finite caches,
-     * no decoded stream) ignore the plan and run one shard.
+     * cell splits into. The default is one shard — the sequential
+     * cell. Cells that cannot shard (finite caches) ignore the plan
+     * and run one shard.
      */
     ShardPlan shards;
 
@@ -173,10 +162,10 @@ struct RunnerConfig
      */
     static unsigned defaultJobs();
 
-    /** A config with jobs = the DIRSIM_JOBS override (or 0), decode =
-     *  the DIRSIM_DECODE override (or on), and shards = the
-     *  DIRSIM_SHARDS override (or sequential). The cell cache is not
-     *  wired here — the sim layer cannot see obs' file cache. */
+    /** A config with jobs = the DIRSIM_JOBS override (or 0) and
+     *  shards = the DIRSIM_SHARDS override (or sequential). The cell
+     *  cache is not wired here — the sim layer cannot see obs' file
+     *  cache. */
     static RunnerConfig fromEnvironment();
 };
 
@@ -194,9 +183,9 @@ struct GridResult
     /** Worker threads actually used. */
     unsigned jobs = 1;
     /**
-     * Grid-level work outside any cell: runFiles' up-front validating
-     * scans land here as Read time. Per-cell phase splits live in
-     * each SimResult::phases.
+     * Grid-level work outside any cell: planning (decoding and
+     * checksumming each input) lands here as Read time. Per-cell
+     * phase splits live in each SimResult::phases.
      */
     PhaseBreakdown setupPhases;
     /** True when the grid ran with a cell cache configured. */
@@ -251,17 +240,11 @@ class ExperimentRunner
     /**
      * Run every scheme on every trace *file*.
      *
-     * With decoding on (the default), each file is read exactly once:
-     * the up-front decode pass both sizes the coherence domain and
-     * captures the compact record stream every cell then replays from
-     * memory. With RunnerConfig::decode off, the legacy
-     * bounded-memory pipeline runs: each path is scanned once up
-     * front (scanTraceFile()) to size the coherence domain and
-     * validate the file, then every cell re-opens its file and
-     * streams it, so peak memory is one record's parser state per
-     * worker plus the simulation's own tables — independent of trace
-     * length. Results are bit-identical either way, and to loading
-     * the files and calling run().
+     * Each file is read exactly once: the up-front decode pass
+     * validates it, sizes the coherence domain, and captures the
+     * compact record stream every cell then replays from memory.
+     * Results are bit-identical to loading the files and calling
+     * run().
      *
      * @param schemes scheme specs (see protocols/registry.hh)
      * @param tracePaths trace files (".txt" = text, else binary)

@@ -113,14 +113,13 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
     SimPlan sim_plan = buildPlan(jobs, engine);
 
     // Apply the per-cell shard axis. buildPlan resolved everything to
-    // one shard (the plan-wide default); a cell that can shard — a
-    // decoded stream, infinite caches — takes its axis value, capped
-    // by its block count.
+    // one shard (the plan-wide default); a cell that can shard — one
+    // with infinite caches — takes its axis value, capped by its
+    // block count.
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
         const unsigned want = plan.cells[i].shards;
         PlannedCell &planned = sim_plan.cells[i];
-        if (want <= 1 || !planned.stream
-            || planned.config.finiteCache)
+        if (want <= 1 || planned.config.finiteCache)
             continue;
         planned.shards = static_cast<unsigned>(
             std::min<std::uint64_t>(

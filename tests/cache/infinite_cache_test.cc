@@ -1,11 +1,14 @@
 /** @file Unit tests for cache/infinite_cache.hh. */
 
-#include <gtest/gtest.h>
-
+#include <map>
 #include <set>
+
+#include <gtest/gtest.h>
 
 #include "cache/infinite_cache.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -22,7 +25,7 @@ TEST(InfiniteCacheTest, StartsEmpty)
 
 TEST(InfiniteCacheTest, SetInstallsAndReports)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     EXPECT_TRUE(cache.set(10, 1));
     EXPECT_EQ(cache.lookup(10), 1);
     EXPECT_TRUE(cache.contains(10));
@@ -31,7 +34,7 @@ TEST(InfiniteCacheTest, SetInstallsAndReports)
 
 TEST(InfiniteCacheTest, SetUpdatesInPlace)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     EXPECT_TRUE(cache.set(10, 1));
     EXPECT_FALSE(cache.set(10, 2)); // not newly installed
     EXPECT_EQ(cache.lookup(10), 2);
@@ -40,13 +43,13 @@ TEST(InfiniteCacheTest, SetUpdatesInPlace)
 
 TEST(InfiniteCacheTest, ReservedStateRejected)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     EXPECT_THROW(cache.set(10, stateNotPresent), LogicError);
 }
 
 TEST(InfiniteCacheTest, InvalidateReturnsOldState)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     cache.set(10, 3);
     EXPECT_EQ(cache.invalidate(10), 3);
     EXPECT_FALSE(cache.contains(10));
@@ -56,6 +59,7 @@ TEST(InfiniteCacheTest, InvalidateReturnsOldState)
 TEST(InfiniteCacheTest, NeverEvicts)
 {
     InfiniteCache cache;
+    cache.reserveBlocks(100'000);
     for (BlockNum block = 0; block < 100'000; ++block)
         cache.set(block, 1);
     EXPECT_EQ(cache.residentBlocks(), 100'000u);
@@ -65,7 +69,7 @@ TEST(InfiniteCacheTest, NeverEvicts)
 
 TEST(InfiniteCacheTest, ClearRemovesEverything)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     cache.set(1, 1);
     cache.set(2, 2);
     cache.clear();
@@ -75,7 +79,7 @@ TEST(InfiniteCacheTest, ClearRemovesEverything)
 
 TEST(InfiniteCacheTest, ForEachVisitsAll)
 {
-    InfiniteCache cache;
+    test::Reserved<InfiniteCache> cache;
     cache.set(5, 1);
     cache.set(6, 2);
     cache.set(7, 1);
@@ -91,38 +95,46 @@ TEST(InfiniteCacheTest, ForEachVisitsAll)
 
 TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
 {
-    InfiniteCache cache;
-    cache.reserveBlocks(64);
-    EXPECT_TRUE(cache.denseStorage());
-    EXPECT_EQ(cache.residentBlocks(), 0u);
-
-    EXPECT_TRUE(cache.set(10, 1));
-    EXPECT_FALSE(cache.set(10, 2)); // update, not a new install
-    EXPECT_EQ(cache.lookup(10), 2);
-    EXPECT_TRUE(cache.contains(10));
-    EXPECT_EQ(cache.lookup(11), stateNotPresent);
-    EXPECT_EQ(cache.residentBlocks(), 1u);
-
-    EXPECT_EQ(cache.invalidate(10), 2);
-    EXPECT_EQ(cache.invalidate(10), stateNotPresent);
-    EXPECT_EQ(cache.residentBlocks(), 0u);
-
-    cache.set(5, 1);
-    cache.set(63, 2);
-    std::set<BlockNum> seen;
-    cache.forEach([&](BlockNum block, CacheBlockState) {
-        seen.insert(block);
+    // The arena must behave exactly like a block -> state map (the
+    // sparse semantics) under a random install/update/invalidate
+    // stream.
+    test::Reserved<InfiniteCache> cache;
+    std::map<BlockNum, CacheBlockState> model;
+    Rng rng(5);
+    for (int step = 0; step < 5000; ++step) {
+        const auto block = static_cast<BlockNum>(rng.below(64));
+        if (rng.chance(0.3)) {
+            const auto it = model.find(block);
+            const CacheBlockState old =
+                it == model.end() ? stateNotPresent : it->second;
+            ASSERT_EQ(cache.invalidate(block), old) << "step " << step;
+            model.erase(block);
+        } else {
+            const auto state = static_cast<CacheBlockState>(
+                1 + rng.below(3));
+            ASSERT_EQ(cache.set(block, state), model.count(block) == 0)
+                << "step " << step;
+            model[block] = state;
+        }
+        ASSERT_EQ(cache.residentBlocks(), model.size()) << "step " << step;
+    }
+    std::map<BlockNum, CacheBlockState> seen;
+    cache.forEach([&](BlockNum block, CacheBlockState state) {
+        seen[block] = state;
     });
-    EXPECT_EQ(seen, (std::set<BlockNum>{5, 63}));
+    EXPECT_EQ(seen, model);
 
     cache.clear();
     EXPECT_EQ(cache.residentBlocks(), 0u);
-    EXPECT_TRUE(cache.denseStorage()); // clear keeps the arena
+    EXPECT_TRUE(cache.set(63, 1)); // clear keeps the arena
+    EXPECT_THROW(cache.set(test::testBlocks, 1), LogicError);
 }
 
 TEST(InfiniteCacheTest, DenseReservationRejectsLiveState)
 {
     InfiniteCache cache;
+    EXPECT_THROW(cache.set(1, 1), LogicError); // not reserved yet
+    cache.reserveBlocks(8);
     cache.set(1, 1);
     EXPECT_THROW(cache.reserveBlocks(8), LogicError);
 }

@@ -1,9 +1,14 @@
 /** @file Unit tests for directory/full_map.hh. */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "directory/full_map.hh"
+#include "protocols/dir_n_nb.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -13,65 +18,63 @@ namespace
 TEST(FullMapTest, EntryCreatedCleanAndEmpty)
 {
     FullMapDirectory dir(4);
-    const FullMapEntry &entry = dir.entry(100);
-    EXPECT_FALSE(entry.dirty);
-    EXPECT_TRUE(entry.sharers.empty());
-    EXPECT_TRUE(entry.valid());
+    dir.reserveBlocks(128);
+    EXPECT_FALSE(dir.dirty(100));
+    EXPECT_EQ(dir.sharerCount(100), 0u);
+    EXPECT_TRUE(dir.sharerSnapshot(100).empty());
 }
 
 TEST(FullMapTest, FindWithoutCreate)
 {
+    // Lookups of untouched blocks report them empty and change
+    // nothing: the arena covers every reserved block from the start.
     FullMapDirectory dir(4);
-    EXPECT_EQ(dir.find(5), nullptr);
-    dir.entry(5).sharers.add(1);
-    ASSERT_NE(dir.find(5), nullptr);
-    EXPECT_TRUE(dir.find(5)->sharers.contains(1));
+    dir.reserveBlocks(8);
+    EXPECT_FALSE(dir.isSharer(5, 1));
+    EXPECT_EQ(dir.sharerCount(5), 0u);
+    dir.addSharer(5, 1);
+    EXPECT_TRUE(dir.isSharer(5, 1));
+    EXPECT_EQ(dir.sharerCount(4), 0u);
 }
 
 TEST(FullMapTest, EntryPersists)
 {
     FullMapDirectory dir(4);
-    dir.entry(7).sharers.add(2);
-    dir.entry(7).dirty = true;
-    EXPECT_TRUE(dir.entry(7).dirty);
-    EXPECT_TRUE(dir.entry(7).sharers.contains(2));
-    EXPECT_EQ(dir.trackedBlocks(), 1u);
+    dir.reserveBlocks(8);
+    dir.addSharer(7, 2);
+    dir.setDirty(7, true);
+    EXPECT_TRUE(dir.dirty(7));
+    EXPECT_TRUE(dir.isSharer(7, 2));
+    EXPECT_FALSE(dir.dirty(6));
 }
 
 TEST(FullMapTest, ValidityInvariant)
 {
-    FullMapEntry entry(4);
-    entry.dirty = true;
-    entry.sharers.add(0);
-    EXPECT_TRUE(entry.valid());
-    entry.sharers.add(1);
-    EXPECT_FALSE(entry.valid()); // dirty with two sharers
-    entry.dirty = false;
-    EXPECT_TRUE(entry.valid());
-}
-
-TEST(FullMapTest, CompactDropsIdleEntries)
-{
-    FullMapDirectory dir(4);
-    dir.entry(1).sharers.add(0);
-    dir.entry(2); // created but never populated
-    dir.entry(3).dirty = true;
-    EXPECT_EQ(dir.trackedBlocks(), 3u);
-    dir.compact();
-    EXPECT_EQ(dir.trackedBlocks(), 2u);
-    EXPECT_EQ(dir.find(2), nullptr);
-    EXPECT_NE(dir.find(1), nullptr);
-    EXPECT_NE(dir.find(3), nullptr);
+    // The invariant Censier & Feautrier state — a dirty block exists
+    // in at most one cache — holds for the directory DirNNB keeps.
+    test::Reserved<DirNNB> protocol(4);
+    Rng rng(21);
+    std::set<BlockNum> seen;
+    for (int step = 0; step < 2000; ++step) {
+        const auto cache = static_cast<CacheId>(rng.below(4));
+        const auto block = static_cast<BlockNum>(rng.below(8));
+        const bool first = seen.insert(block).second;
+        if (rng.chance(0.4))
+            protocol.write(cache, block, first);
+        else
+            protocol.read(cache, block, first);
+        const FullMapDirectory &dir = protocol.directory();
+        ASSERT_TRUE(!dir.dirty(block) || dir.sharerCount(block) <= 1)
+            << "step " << step;
+    }
 }
 
 TEST(FullMapTest, DenseArenaMirrorsSparseSemantics)
 {
     FullMapDirectory dir(4);
-    dir.reserveDense(8);
-    EXPECT_TRUE(dir.denseStorage());
+    dir.reserveBlocks(8);
 
     dir.addSharer(3, 1);
-    EXPECT_TRUE(dir.tracked(3));
     EXPECT_TRUE(dir.isSharer(3, 1));
     EXPECT_EQ(dir.sharerCount(3), 1u);
     EXPECT_FALSE(dir.dirty(3));
@@ -88,39 +91,24 @@ TEST(FullMapTest, DenseArenaMirrorsSparseSemantics)
     dir.removeSharer(3, 1);
     EXPECT_FALSE(dir.isSharer(3, 1));
     EXPECT_EQ(dir.sharerCount(3), 0u);
+    EXPECT_TRUE(dir.dirty(3));
 
     EXPECT_THROW(dir.addSharer(8, 0), LogicError); // outside the arena
-
-    dir.compact(); // no-op: the arena is the memory bound
-    EXPECT_TRUE(dir.dirty(3));
-}
-
-TEST(FullMapTest, DenseModeHasNoEntryObjects)
-{
-    // The dense arena stores sharers in a flat SharerStore, so the
-    // per-block FullMapEntry accessors are sparse-only.
-    FullMapDirectory dir(4);
-    dir.reserveDense(8);
-    EXPECT_THROW(dir.entry(3), LogicError);
-    EXPECT_THROW(dir.find(3), LogicError);
+    EXPECT_THROW(dir.setDirty(8, true), LogicError);
 }
 
 TEST(FullMapTest, BlockKeyedAccessorsWorkSparse)
 {
-    // The block-keyed API is mode-agnostic: protocols written against
-    // it behave identically before and after reserveDense().
+    // One block touched in a large arena: only it reports state.
     FullMapDirectory dir(4);
-    EXPECT_FALSE(dir.tracked(9));
-    EXPECT_FALSE(dir.isSharer(9, 2));
-    EXPECT_EQ(dir.sharerCount(9), 0u);
-    EXPECT_FALSE(dir.dirty(9));
-
+    dir.reserveBlocks(1024);
     dir.addSharer(9, 2);
     dir.addSharer(9, 0);
     dir.setDirty(9, true);
-    EXPECT_TRUE(dir.tracked(9));
     EXPECT_EQ(dir.sharerCount(9), 2u);
     EXPECT_TRUE(dir.dirty(9));
+    EXPECT_EQ(dir.sharerCount(10), 0u);
+    EXPECT_FALSE(dir.dirty(10));
 
     CacheIdList sharers;
     dir.appendSharers(9, sharers);
@@ -134,13 +122,10 @@ TEST(FullMapTest, BlockKeyedAccessorsWorkSparse)
 
 TEST(FullMapTest, DenseReservationRejectsTouchedDirectory)
 {
+    // An unreserved directory covers no block, so touching it panics.
     FullMapDirectory dir(4);
-    dir.entry(1);
-    EXPECT_THROW(dir.reserveDense(8), LogicError);
-
-    FullMapDirectory fresh(4);
-    fresh.reserveDense(4);
-    EXPECT_THROW(fresh.reserveDense(4), LogicError);
+    EXPECT_THROW(dir.addSharer(1, 0), LogicError);
+    EXPECT_THROW(dir.setDirty(1, true), LogicError);
 }
 
 TEST(FullMapTest, RejectsZeroCaches)
@@ -151,8 +136,9 @@ TEST(FullMapTest, RejectsZeroCaches)
 TEST(FullMapTest, NumCaches)
 {
     FullMapDirectory dir(16);
+    dir.reserveBlocks(1);
     EXPECT_EQ(dir.numCaches(), 16u);
-    EXPECT_EQ(dir.entry(0).sharers.numCaches(), 16u);
+    EXPECT_EQ(dir.sharerSnapshot(0).numCaches(), 16u);
 }
 
 } // namespace

@@ -99,6 +99,7 @@ TEST(LimitedEntryTest, ZeroPointersRejected)
 TEST(LimitedDirectoryTest, EntriesInheritConfiguration)
 {
     LimitedDirectory dir(3, true);
+    dir.reserveBlocks(64);
     EXPECT_EQ(dir.pointerBudget(), 3u);
     EXPECT_TRUE(dir.broadcastAllowed());
     LimitedEntry &entry = dir.entry(42);
@@ -108,11 +109,14 @@ TEST(LimitedDirectoryTest, EntriesInheritConfiguration)
 
 TEST(LimitedDirectoryTest, FindWithoutCreate)
 {
+    // Looking an entry up creates nothing: every reserved block has
+    // its (empty) entry from the start, and no other block has one.
     LimitedDirectory dir(1, false);
-    EXPECT_EQ(dir.find(9), nullptr);
-    dir.entry(9);
-    EXPECT_NE(dir.find(9), nullptr);
-    EXPECT_EQ(dir.trackedBlocks(), 1u);
+    dir.reserveBlocks(16);
+    const LimitedDirectory &view = dir;
+    EXPECT_EQ(view.entry(9).pointerCount(), 0u);
+    EXPECT_FALSE(view.entry(15).dirty);
+    EXPECT_THROW(view.entry(16), LogicError);
 }
 
 TEST(LimitedDirectoryTest, RejectsZeroBudget)

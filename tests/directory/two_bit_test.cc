@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "directory/two_bit.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -12,14 +13,13 @@ namespace
 
 TEST(TwoBitTest, DefaultsToNotCached)
 {
-    TwoBitDirectory dir;
-    EXPECT_EQ(dir.state(1234), TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
+    test::Reserved<TwoBitDirectory> dir;
+    EXPECT_EQ(dir.state(1000), TwoBitState::NotCached);
 }
 
 TEST(TwoBitTest, CleanCopyProgression)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.addCleanCopy(1);
     EXPECT_EQ(dir.state(1), TwoBitState::CleanOne);
     dir.addCleanCopy(1);
@@ -30,14 +30,14 @@ TEST(TwoBitTest, CleanCopyProgression)
 
 TEST(TwoBitTest, AddCleanCopyOnDirtyPanics)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.makeDirty(1);
     EXPECT_THROW(dir.addCleanCopy(1), LogicError);
 }
 
 TEST(TwoBitTest, MakeDirtyFromAnyCleanState)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.makeDirty(1);
     EXPECT_EQ(dir.state(1), TwoBitState::DirtyOne);
 
@@ -53,25 +53,24 @@ TEST(TwoBitTest, MakeDirtyFromAnyCleanState)
 
 TEST(TwoBitTest, MakeUncachedResets)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.makeDirty(1);
     dir.makeUncached(1);
     EXPECT_EQ(dir.state(1), TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
 }
 
 TEST(TwoBitTest, SetStateDirect)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.setState(1, TwoBitState::CleanMany);
     EXPECT_EQ(dir.state(1), TwoBitState::CleanMany);
     dir.setState(1, TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
+    EXPECT_EQ(dir.state(1), TwoBitState::NotCached);
 }
 
 TEST(TwoBitTest, BlocksIndependent)
 {
-    TwoBitDirectory dir;
+    test::Reserved<TwoBitDirectory> dir;
     dir.makeDirty(1);
     dir.addCleanCopy(2);
     EXPECT_EQ(dir.state(1), TwoBitState::DirtyOne);

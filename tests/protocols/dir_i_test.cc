@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "protocols/dir_i_b.hh"
 #include "protocols/dir_i_nb.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -22,7 +23,7 @@ TEST(DirIBTest, Names)
 
 TEST(DirIBTest, ExactModeUsesDirectedInvalidates)
 {
-    DirIB protocol(4, 2);
+    test::Reserved<DirIB> protocol(4, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false); // 2 pointers: still exact
     protocol.write(0, B, false);
@@ -33,19 +34,18 @@ TEST(DirIBTest, ExactModeUsesDirectedInvalidates)
 
 TEST(DirIBTest, OverflowSetsBroadcastMode)
 {
-    DirIB protocol(4, 1);
+    test::Reserved<DirIB> protocol(4, 1);
     protocol.read(0, B, true);
     protocol.read(1, B, false); // overflow: broadcast bit set
-    const LimitedEntry *entry = protocol.directory().find(B);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_TRUE(entry->broadcastRequired());
+    const LimitedEntry &entry = protocol.directory().entry(B);
+    EXPECT_TRUE(entry.broadcastRequired());
     // Both copies still exist (overflow costs nothing yet).
     EXPECT_EQ(protocol.holders(B).count(), 2u);
 }
 
 TEST(DirIBTest, BroadcastModeWriteBroadcasts)
 {
-    DirIB protocol(4, 1);
+    test::Reserved<DirIB> protocol(4, 1);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -54,13 +54,13 @@ TEST(DirIBTest, BroadcastModeWriteBroadcasts)
     EXPECT_EQ(protocol.ops().invalMsgs, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
     // After the invalidation the entry is exact again.
-    EXPECT_FALSE(protocol.directory().find(B)->broadcastRequired());
-    EXPECT_TRUE(protocol.directory().find(B)->dirty);
+    EXPECT_FALSE(protocol.directory().entry(B).broadcastRequired());
+    EXPECT_TRUE(protocol.directory().entry(B).dirty);
 }
 
 TEST(DirIBTest, DirtyMissUsesDirectedFlush)
 {
-    DirIB protocol(4, 1);
+    test::Reserved<DirIB> protocol(4, 1);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     // Dirty implies a known single pointer: directed request.
@@ -72,7 +72,7 @@ TEST(DirIBTest, DirtyMissUsesDirectedFlush)
 
 TEST(DirIBTest, InvariantsUnderMixedTraffic)
 {
-    DirIB protocol(4, 2);
+    test::Reserved<DirIB> protocol(4, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // broadcast mode
@@ -85,7 +85,7 @@ TEST(DirIBTest, InvariantsUnderMixedTraffic)
 
 TEST(DirINBTest, CopyCountNeverExceedsBudget)
 {
-    DirINB protocol(4, 2);
+    test::Reserved<DirINB> protocol(4, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // evicts the oldest copy (cache 0)
@@ -96,7 +96,7 @@ TEST(DirINBTest, CopyCountNeverExceedsBudget)
 
 TEST(DirINBTest, EvictedCopyRemisses)
 {
-    DirINB protocol(4, 2);
+    test::Reserved<DirINB> protocol(4, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // cache 0 evicted
@@ -108,7 +108,7 @@ TEST(DirINBTest, EvictedCopyRemisses)
 
 TEST(DirINBTest, NeverBroadcasts)
 {
-    DirINB protocol(4, 2);
+    test::Reserved<DirINB> protocol(4, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);
@@ -118,7 +118,7 @@ TEST(DirINBTest, NeverBroadcasts)
 
 TEST(DirINBTest, WriteHitInvalidatesPointedCopies)
 {
-    DirINB protocol(4, 3);
+    test::Reserved<DirINB> protocol(4, 3);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -130,7 +130,7 @@ TEST(DirINBTest, WriteHitInvalidatesPointedCopies)
 
 TEST(DirINBTest, FirstRefOverflowImpossible)
 {
-    DirINB protocol(4, 1);
+    test::Reserved<DirINB> protocol(4, 1);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.ops().overflowInvals, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
@@ -138,7 +138,7 @@ TEST(DirINBTest, FirstRefOverflowImpossible)
 
 TEST(DirINBTest, InvariantsUnderChurn)
 {
-    DirINB protocol(4, 2);
+    test::Reserved<DirINB> protocol(4, 2);
     for (int round = 0; round < 8; ++round) {
         protocol.read(static_cast<CacheId>(round % 4), B, round == 0);
         protocol.checkAllInvariants();
@@ -162,18 +162,18 @@ TEST(DirIBTest, ManySharersBroadcastAccountingAtLargeN)
     // 200 of 256 caches share a block on a 4-pointer directory: one
     // broadcast, zero directed messages, and the writer is the sole
     // holder afterwards with an exact entry again.
-    DirIB protocol(256, 4);
+    test::Reserved<DirIB> protocol(256, 4);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 200; ++c)
         protocol.read(c, B, false);
-    EXPECT_TRUE(protocol.directory().find(B)->broadcastRequired());
+    EXPECT_TRUE(protocol.directory().entry(B).broadcastRequired());
     protocol.checkAllInvariants();
 
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.ops().broadcastInvals, 1u);
     EXPECT_EQ(protocol.ops().invalMsgs, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
-    EXPECT_FALSE(protocol.directory().find(B)->broadcastRequired());
+    EXPECT_FALSE(protocol.directory().entry(B).broadcastRequired());
     protocol.checkAllInvariants();
 
     // Re-sharing after the reset is exact up to the budget again:
@@ -193,7 +193,7 @@ TEST(DirINBTest, EvictionChurnAccountingAtLargeN)
     // 200 sequential sharers through a 4-pointer FIFO: each reader
     // past the fourth evicts exactly one copy, so copies never exceed
     // the budget and overflowInvals counts the evictions exactly.
-    DirINB protocol(256, 4);
+    test::Reserved<DirINB> protocol(256, 4);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 200; ++c) {
         protocol.read(c, B, false);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/dragon.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -13,14 +14,14 @@ constexpr BlockNum B = 500;
 
 TEST(DragonTest, FirstReadIsExclusive)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.cacheState(0, B), Dragon::stExclusive);
 }
 
 TEST(DragonTest, SecondReaderDemotesToShared)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.cacheState(0, B), Dragon::stSharedClean);
@@ -32,7 +33,7 @@ TEST(DragonTest, SecondReaderDemotesToShared)
 
 TEST(DragonTest, NothingIsEverInvalidated)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -46,7 +47,7 @@ TEST(DragonTest, NothingIsEverInvalidated)
 
 TEST(DragonTest, SharedWriteHitDistributesUpdate)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -60,7 +61,7 @@ TEST(DragonTest, SharedWriteHitDistributesUpdate)
 
 TEST(DragonTest, LocalWriteHitIsFree)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhLocal), 1u);
@@ -71,7 +72,7 @@ TEST(DragonTest, LocalWriteHitIsFree)
 
 TEST(DragonTest, OwnershipMigratesBetweenWriters)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -83,7 +84,7 @@ TEST(DragonTest, OwnershipMigratesBetweenWriters)
 
 TEST(DragonTest, ReadMissOnDirtySuppliedByOwnerWithoutWriteBack)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.write(0, B, true); // Dirty in 0
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -96,7 +97,7 @@ TEST(DragonTest, ReadMissOnDirtySuppliedByOwnerWithoutWriteBack)
 
 TEST(DragonTest, WriteMissToSharedBlockUpdatesAll)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WmBlkCln), 1u);
@@ -110,7 +111,7 @@ TEST(DragonTest, InfiniteCacheMissRateIsNative)
 {
     // Once loaded, a block never misses again, no matter how the
     // other caches write to it.
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     for (int i = 0; i < 5; ++i) {
@@ -123,7 +124,7 @@ TEST(DragonTest, InfiniteCacheMissRateIsNative)
 
 TEST(DragonTest, SingleWriterInvariantOnOwnership)
 {
-    Dragon protocol(4);
+    test::Reserved<Dragon> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);

@@ -5,12 +5,15 @@
  * every scheme's invariants survive capacity pressure.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/finite_cache.hh"
 #include "common/logging.hh"
 #include "protocols/registry.hh"
 #include "sim/simulator.hh"
+#include "test_util.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
@@ -43,7 +46,8 @@ TEST(FiniteModeTest, FactoryEnablesFiniteMode)
 
 TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("DirNNB", 2, tinyFactory()));
     // Touch 32 distinct blocks from one cache: only 8 can remain.
     for (BlockNum block = 0; block < 32; ++block)
         protocol->read(0, block, true);
@@ -56,7 +60,8 @@ TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 
 TEST(FiniteModeTest, DirtyEvictionWritesBack)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("DirNNB", 2, tinyFactory()));
     // Blocks 0, 8, 16 map to the same set (8 sets); dirty the first.
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
@@ -67,7 +72,8 @@ TEST(FiniteModeTest, DirtyEvictionWritesBack)
 
 TEST(FiniteModeTest, CleanEvictionIsFree)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("DirNNB", 2, tinyFactory()));
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts clean block 0
@@ -76,7 +82,8 @@ TEST(FiniteModeTest, CleanEvictionIsFree)
 
 TEST(FiniteModeTest, EvictedBlockRemisses)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("Dir0B", 2, tinyFactory()));
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts 0
@@ -86,7 +93,8 @@ TEST(FiniteModeTest, EvictedBlockRemisses)
 
 TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
 {
-    const auto protocol = makeProtocol("DirNNB", 3, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("DirNNB", 3, tinyFactory()));
     protocol->read(0, 0, true);
     protocol->read(1, 0, false);
     // Cache 0 churns its set until block 0 is evicted from it.
@@ -97,9 +105,42 @@ TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
     protocol->checkAllInvariants();
 }
 
+TEST(FiniteModeTest, SetsFollowBlockLabelsNotIndices)
+{
+    // 8 sets. Indices 0, 1, 2 carry labels 0, 8, 16: one 2-way set,
+    // so cache 0's third fill evicts its first. Indices 0, 8, 16
+    // carry labels 0, 1, 2: three sets, so cache 1 keeps all of them.
+    // Indexing sets by the index itself would swap both outcomes.
+    std::vector<BlockNum> labels(17);
+    for (BlockNum index = 0; index < labels.size(); ++index)
+        labels[index] = 100 + index;
+    labels[0] = 0;
+    labels[1] = 8;
+    labels[2] = 16;
+    labels[8] = 1;
+    labels[16] = 2;
+    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    protocol->reserveBlocks(17, labels.data());
+
+    protocol->read(0, 0, true);
+    protocol->read(0, 1, true);
+    protocol->read(0, 2, true);
+    EXPECT_FALSE(protocol->holders(0).contains(0));
+    EXPECT_TRUE(protocol->holders(1).contains(0));
+    EXPECT_TRUE(protocol->holders(2).contains(0));
+
+    protocol->read(1, 0, false);
+    protocol->read(1, 8, true);
+    protocol->read(1, 16, true);
+    for (const BlockNum index : {0u, 8u, 16u})
+        EXPECT_TRUE(protocol->holders(index).contains(1)) << index;
+    protocol->checkAllInvariants();
+}
+
 TEST(FiniteModeTest, WriteBackCostAppearsInWriteBackRow)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol =
+        test::reserved(makeProtocol("DirNNB", 2, tinyFactory()));
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true);

@@ -15,6 +15,7 @@
 #include "protocols/dir_i_nb.hh"
 #include "protocols/registry.hh"
 #include "sim/simulator.hh"
+#include "test_util.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
@@ -28,9 +29,10 @@ allProtocols(unsigned caches)
 {
     std::vector<std::unique_ptr<CoherenceProtocol>> protocols;
     for (const auto &name : allSchemes())
-        protocols.push_back(makeProtocol(name, caches));
-    protocols.push_back(std::make_unique<DirIB>(caches, 2));
-    protocols.push_back(std::make_unique<DirINB>(caches, 2));
+        protocols.push_back(test::reserved(makeProtocol(name, caches)));
+    protocols.push_back(std::make_unique<test::Reserved<DirIB>>(caches, 2));
+    protocols.push_back(
+        std::make_unique<test::Reserved<DirINB>>(caches, 2));
     return protocols;
 }
 
@@ -40,7 +42,7 @@ class ProtocolProperty : public ::testing::TestWithParam<std::string>
     std::unique_ptr<CoherenceProtocol>
     make(unsigned caches) const
     {
-        return makeProtocol(GetParam(), caches);
+        return test::reserved(makeProtocol(GetParam(), caches));
     }
 
     static bool

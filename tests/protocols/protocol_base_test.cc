@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "protocols/protocol.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -31,6 +32,7 @@ class MiniProtocol : public CoherenceProtocol
     }
 
     // Expose protected helpers for the tests.
+    using CoherenceProtocol::Others;
     using CoherenceProtocol::classifyOthers;
     using CoherenceProtocol::install;
     using CoherenceProtocol::invalidateIn;
@@ -81,7 +83,7 @@ TEST(ProtocolBaseTest, RejectsEmptyDomain)
 
 TEST(ProtocolBaseTest, OutOfRangeCacheIdPanics)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     EXPECT_THROW(protocol.read(2, 1, true), LogicError);
     EXPECT_THROW(protocol.write(7, 1, true), LogicError);
     EXPECT_THROW(protocol.cacheState(2, 1), LogicError);
@@ -89,7 +91,7 @@ TEST(ProtocolBaseTest, OutOfRangeCacheIdPanics)
 
 TEST(ProtocolBaseTest, HoldersOfUnknownBlockIsEmpty)
 {
-    MiniProtocol protocol(4);
+    test::Reserved<MiniProtocol> protocol(4);
     const SharerSet sharers = protocol.holders(12345);
     EXPECT_TRUE(sharers.empty());
     EXPECT_EQ(sharers.numCaches(), 4u);
@@ -97,7 +99,7 @@ TEST(ProtocolBaseTest, HoldersOfUnknownBlockIsEmpty)
 
 TEST(ProtocolBaseTest, ClassifyOthersSeesCleanAndDirty)
 {
-    MiniProtocol protocol(4);
+    test::Reserved<MiniProtocol> protocol(4);
     protocol.read(1, 10, true);
     protocol.read(2, 10, false);
 
@@ -114,7 +116,7 @@ TEST(ProtocolBaseTest, ClassifyOthersSeesCleanAndDirty)
 
 TEST(ProtocolBaseTest, ClassifyOthersExcludesSelf)
 {
-    MiniProtocol protocol(4);
+    test::Reserved<MiniProtocol> protocol(4);
     protocol.read(0, 10, true);
     const auto others = protocol.classifyOthers(0, 10);
     EXPECT_EQ(others.numOthers, 0u);
@@ -122,14 +124,14 @@ TEST(ProtocolBaseTest, ClassifyOthersExcludesSelf)
 
 TEST(ProtocolBaseTest, SetStateRequiresResidency)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     EXPECT_THROW(protocol.setState(0, 99, MiniProtocol::stDirty),
                  LogicError);
 }
 
 TEST(ProtocolBaseTest, InstallIsIdempotentInOracle)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     protocol.install(0, 5, MiniProtocol::stClean);
     protocol.install(0, 5, MiniProtocol::stDirty);
     EXPECT_EQ(protocol.holders(5).count(), 1u);
@@ -138,14 +140,14 @@ TEST(ProtocolBaseTest, InstallIsIdempotentInOracle)
 
 TEST(ProtocolBaseTest, InvalidateInUnknownIsNoop)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     EXPECT_NO_THROW(protocol.invalidateIn(0, 5));
     EXPECT_TRUE(protocol.holders(5).empty());
 }
 
 TEST(ProtocolBaseTest, ResidentBlocksListsLiveBlocksOnly)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     protocol.read(0, 1, true);
     protocol.read(0, 2, true);
     protocol.invalidateIn(0, 1);
@@ -156,7 +158,7 @@ TEST(ProtocolBaseTest, ResidentBlocksListsLiveBlocksOnly)
 
 TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
 {
-    MiniProtocol protocol(4);
+    test::Reserved<MiniProtocol> protocol(4);
     protocol.read(3, 42, true);
     EXPECT_EQ(protocol.lastMissOthers.numOthers, 0u);
     EXPECT_FALSE(protocol.lastMissOthers.anyDirty);
@@ -164,7 +166,7 @@ TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
 
 TEST(ProtocolBaseTest, InstructionCountingOnly)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     protocol.instruction();
     protocol.instruction();
     EXPECT_EQ(protocol.events().count(EventType::Instr), 2u);
@@ -176,7 +178,7 @@ TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 {
     // Sabotage: install in the cache without going through install().
     // checkInvariants must notice the oracle disagreeing.
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     protocol.read(0, 7, true);
     protocol.invalidateIn(0, 7);
     // Now resurrect the copy behind the oracle's back via setState —
@@ -187,46 +189,61 @@ TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 
 TEST(ProtocolBaseTest, DenseModeMatchesSparseClassification)
 {
-    MiniProtocol sparse(4);
-    MiniProtocol dense(4);
-    dense.reserveBlocks(16);
-    EXPECT_TRUE(dense.denseBlocks());
-    EXPECT_FALSE(sparse.denseBlocks());
+    // classifyOthers() answers from the holder oracle and the tracked
+    // dirty owner; it must equal the sparse engine's answer, a survey
+    // of every other holder's cache state in ascending order.
+    test::Reserved<MiniProtocol> protocol(4);
+    protocol.read(1, 10, true);
+    protocol.read(2, 10, false);
+    protocol.read(3, 10, false);
+    protocol.write(1, 10, false); // 1 dirty, 2 and 3 invalidated
+    protocol.read(2, 10, false);  // 1 flushed clean, 2 shares
+    protocol.write(3, 11, true);
 
-    for (MiniProtocol *protocol : {&sparse, &dense}) {
-        protocol->read(1, 10, true);
-        protocol->read(2, 10, false);
-        protocol->write(1, 10, false); // 1 dirty, 2 invalidated
+    for (const BlockNum block : {10u, 11u, 12u}) {
+        for (CacheId cache = 0; cache < 4; ++cache) {
+            MiniProtocol::Others survey;
+            protocol.holders(block).forEach([&](CacheId holder) {
+                if (holder == cache)
+                    return;
+                ++survey.numOthers;
+                survey.anyHolder = holder;
+                if (protocol.isDirtyState(
+                        protocol.cacheState(holder, block))) {
+                    survey.anyDirty = true;
+                    survey.dirtyOwner = holder;
+                }
+            });
+            const auto others = protocol.classifyOthers(cache, block);
+            EXPECT_EQ(others.numOthers, survey.numOthers);
+            EXPECT_EQ(others.anyHolder, survey.anyHolder);
+            EXPECT_EQ(others.anyDirty, survey.anyDirty);
+            EXPECT_EQ(others.dirtyOwner, survey.dirtyOwner);
+        }
     }
-    const auto a = sparse.classifyOthers(0, 10);
-    const auto b = dense.classifyOthers(0, 10);
-    EXPECT_EQ(b.numOthers, a.numOthers);
-    EXPECT_EQ(b.anyHolder, a.anyHolder);
-    EXPECT_EQ(b.anyDirty, a.anyDirty);
-    EXPECT_EQ(b.dirtyOwner, a.dirtyOwner);
-    EXPECT_EQ(dense.holders(10).toVector(),
-              sparse.holders(10).toVector());
-    EXPECT_EQ(dense.residentBlocks(), sparse.residentBlocks());
-    EXPECT_NO_THROW(dense.checkAllInvariants());
+    EXPECT_EQ(protocol.residentBlocks(), (std::vector<BlockNum>{10, 11}));
+    EXPECT_NO_THROW(protocol.checkAllInvariants());
 }
 
 TEST(ProtocolBaseTest, DenseReservationGuards)
 {
-    MiniProtocol touched(2);
-    touched.read(0, 1, true);
-    EXPECT_THROW(touched.reserveBlocks(4), LogicError);
+    // A protocol must be reserved before its first reference.
+    MiniProtocol unreserved(2);
+    EXPECT_THROW(unreserved.read(0, 1, true), LogicError);
+    EXPECT_THROW(unreserved.write(0, 1, true), LogicError);
 
     MiniProtocol fresh(2);
     fresh.reserveBlocks(4);
     EXPECT_THROW(fresh.reserveBlocks(4), LogicError);
-    // Blocks outside the reserved arena are rejected at install time.
+    // Blocks outside the reserved arena are rejected.
+    EXPECT_THROW(fresh.read(0, 4, true), LogicError);
     EXPECT_THROW(fresh.install(0, 99, MiniProtocol::stClean),
                  LogicError);
 }
 
 TEST(ProtocolBaseTest, EventAccountingOnHitAndMiss)
 {
-    MiniProtocol protocol(2);
+    test::Reserved<MiniProtocol> protocol(2);
     protocol.read(0, 1, true);
     protocol.read(0, 1, false);
     protocol.read(1, 1, false);

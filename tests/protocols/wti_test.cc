@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/wti.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -13,7 +14,7 @@ constexpr BlockNum B = 400;
 
 TEST(WTITest, EveryWriteGoesToMemory)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.write(0, B, true);   // first ref: fetch uncosted
     protocol.write(0, B, false);  // hit
     protocol.write(0, B, false);  // hit
@@ -22,7 +23,7 @@ TEST(WTITest, EveryWriteGoesToMemory)
 
 TEST(WTITest, NoDirtyStateExists)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.write(0, B, true);
     EXPECT_EQ(protocol.cacheState(0, B), WTI::stValid);
     EXPECT_FALSE(protocol.isDirtyState(protocol.cacheState(0, B)));
@@ -30,7 +31,7 @@ TEST(WTITest, NoDirtyStateExists)
 
 TEST(WTITest, MissesAlwaysServedByMemory)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     // Memory is current under write-through: no write-back, no
@@ -42,7 +43,7 @@ TEST(WTITest, MissesAlwaysServedByMemory)
 
 TEST(WTITest, SnoopersInvalidateOnWrite)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -57,7 +58,7 @@ TEST(WTITest, SnoopersInvalidateOnWrite)
 
 TEST(WTITest, WriteMissAllocatesAndWritesThrough)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.read(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WrtMiss), 1u);
@@ -73,7 +74,7 @@ TEST(WTITest, FirstRefWriteStillWritesThrough)
 {
     // Write-policy traffic is not a first-reference miss cost: the
     // word still travels to memory.
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.write(0, B, true);
     EXPECT_EQ(protocol.ops().writeThroughs, 1u);
     EXPECT_EQ(protocol.ops().memSupplies, 0u); // the fetch is uncosted
@@ -81,7 +82,7 @@ TEST(WTITest, FirstRefWriteStillWritesThrough)
 
 TEST(WTITest, ReadSharingIsCheap)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(0, B, false);
@@ -92,7 +93,7 @@ TEST(WTITest, ReadSharingIsCheap)
 
 TEST(WTITest, RmBlkDrtyNeverOccurs)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     protocol.read(1, B, false);
@@ -102,7 +103,7 @@ TEST(WTITest, RmBlkDrtyNeverOccurs)
 
 TEST(WTITest, InvariantsAcrossScenario)
 {
-    WTI protocol(4);
+    test::Reserved<WTI> protocol(4);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);

@@ -4,10 +4,13 @@
  * (serve/server.hh), driven through the bundled HTTP client.
  */
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <malloc.h>
 
 #include <gtest/gtest.h>
 
@@ -241,6 +244,40 @@ TEST(SweepServerTest, ShutdownEndpointReleasesWaiters)
     daemon.reset();                   // stop() + joins: no hang
     // The port is released: connecting now fails.
     EXPECT_THROW(httpRequest(port, "GET", "/"), UsageError);
+}
+
+/** This process's virtual size from /proc/self/status, in KiB. */
+std::uint64_t
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    ADD_FAILURE() << "no VmSize line in /proc/self/status";
+    return 0;
+}
+
+TEST(SweepServerTest, FinishedHandlersAreReapedWhileRunning)
+{
+    // Every connection gets a handler thread whose stack stays mapped
+    // until the thread is joined; the daemon must join finished
+    // handlers as it goes, not only at stop(). One malloc arena keeps
+    // glibc's per-thread arena reservations (64 MiB each, recycled
+    // once a thread exits) out of the measurement, so VmSize tracks
+    // the thread stacks.
+    mallopt(M_ARENA_MAX, 1);
+    TestServer daemon;
+    EXPECT_EQ(httpRequest(daemon.port(), "GET", "/").status, 200);
+    const std::uint64_t before = vmSizeKib();
+    for (int i = 0; i < 500; ++i)
+        ASSERT_EQ(httpRequest(daemon.port(), "GET", "/").status, 200);
+    const std::uint64_t after = vmSizeKib();
+    EXPECT_LT(after, before + 64 * 1024)
+        << "VmSize grew from " << before << " KiB to " << after
+        << " KiB over 500 sequential requests";
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
- * Decode-once equality suite: the DecodedTrace pipeline (dense block
- * arenas, hash-free hot path) must produce bit-identical SimResults
- * to the legacy sparse engine — across every paper scheme and suite
- * trace, sequential and parallel grids, traced and untraced runs,
- * and infinite and finite caches.
+ * Decode-once suite: the DecodedTrace stream mirrors its source
+ * records, and every entry point — a decoded stream, an in-memory
+ * Trace, a trace file, sequential and parallel grids, traced and
+ * untraced runs, infinite and finite caches — produces bit-identical
+ * SimResults. The engine's absolute results are pinned by the golden
+ * cell records (tests/golden/).
  */
 
 #include <gtest/gtest.h>
@@ -123,8 +124,11 @@ TEST(DecodedTraceTest, BitIdenticalAcrossPaperSchemes)
     }
 }
 
-TEST(DecodedTraceTest, FiniteCachesTakeTheSparseEngineIdentically)
+TEST(DecodedTraceTest, FiniteCachesRunDenseUnderInvariantChecks)
 {
+    // Finite caches run on the dense arenas too: their evictions
+    // reach the holder oracle and the directories by block index, and
+    // the invariant checker sweeps every arena as the cells run.
     const auto traces = smallSuite();
     SimConfig config;
     FiniteCacheConfig geometry;
@@ -132,12 +136,18 @@ TEST(DecodedTraceTest, FiniteCachesTakeTheSparseEngineIdentically)
     geometry.ways = 2;
     geometry.blockBytes = config.blockBytes;
     config.finiteCache = geometry;
+    config.invariantCheckPeriod = 1'024;
 
     const DecodedTrace decoded = decodeTrace(
         traces[0], config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "Dir2NB", "YenFu"}) {
-        expectIdentical(simulateTrace(decoded, scheme, config),
+        const SimResult finite = simulateTrace(decoded, scheme, config);
+        expectIdentical(finite,
                         simulateTrace(traces[0], scheme, config));
+        const SimResult infinite = simulateTrace(decoded, scheme);
+        EXPECT_GT(finite.events.count(EventType::RdMiss),
+                  infinite.events.count(EventType::RdMiss))
+            << scheme;
     }
 }
 
@@ -196,19 +206,17 @@ TEST(DecodedTraceTest, RunnerGridsMatchLegacyAcrossJobCounts)
     const auto traces = smallSuite();
     const auto &schemes = paperSchemes();
 
-    RunnerConfig legacy;
-    legacy.jobs = 1;
-    legacy.decode = false;
-    const GridResult reference =
-        ExperimentRunner(legacy).run(schemes, traces);
-
     for (const unsigned jobs : {1u, 4u}) {
         RunnerConfig config;
         config.jobs = jobs;
-        config.decode = true;
         const GridResult grid =
             ExperimentRunner(config).run(schemes, traces);
-        expectIdenticalGrids(grid, reference);
+        // Every cell equals the single-cell entry point's result.
+        ASSERT_EQ(grid.schemes.size(), schemes.size());
+        for (std::size_t s = 0; s < schemes.size(); ++s)
+            for (std::size_t t = 0; t < traces.size(); ++t)
+                expectIdentical(grid.schemes[s].perTrace[t],
+                                simulateTrace(traces[t], schemes[s]));
         for (std::size_t c = 0; c < grid.cells.size(); ++c)
             EXPECT_EQ(grid.cells[c].refs,
                       traces[c % traces.size()].size());
@@ -228,34 +236,26 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
     }
     const auto &schemes = paperSchemes();
 
-    RunnerConfig legacy;
-    legacy.jobs = 1;
-    legacy.decode = false;
+    RunnerConfig sequential;
+    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(legacy).runFiles(schemes, paths);
+        ExperimentRunner(sequential).run(schemes, traces);
 
     for (const unsigned jobs : {1u, 4u}) {
         RunnerConfig config;
         config.jobs = jobs;
-        config.decode = true;
         const GridResult grid =
             ExperimentRunner(config).runFiles(schemes, paths);
         expectIdenticalGrids(grid, reference);
     }
 
-    // The single-file API matches too, hint or no hint.
-    const SimResult legacy_file = [&] {
+    // The single-file API matches too.
+    const SimResult in_memory = [&] {
         const DecodedTrace decoded = decodeTraceFile(
             paths[0], defaultBlockBytes, SharingModel::ByProcess);
         return simulateTrace(decoded, "Dir4NB");
     }();
-    expectIdentical(simulateTraceFile(paths[0], "Dir4NB"),
-                    legacy_file);
-    expectIdentical(
-        simulateTraceFile(paths[0], "Dir4NB", SimConfig{},
-                          cachesNeeded(traces[0],
-                                       SharingModel::ByProcess)),
-        legacy_file);
+    expectIdentical(simulateTraceFile(paths[0], "Dir4NB"), in_memory);
 }
 
 TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
@@ -274,11 +274,11 @@ TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
     EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_sharing),
                  UsageError);
 
-    // A protocol domain smaller than the stream's cache ids fails
-    // with the legacy mapper's message.
+    // A protocol domain smaller than the stream's cache ids fails.
     const auto small = makeProtocol("Dir0B", 1);
-    if (decoded.cachesUsed > 1)
+    if (decoded.cachesUsed > 1) {
         EXPECT_THROW(simulateTrace(decoded, *small), UsageError);
+    }
 }
 
 TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)
@@ -288,6 +288,7 @@ TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)
         empty, defaultBlockBytes, SharingModel::ByProcess);
     EXPECT_EQ(decoded.numRecords(), 0u);
     EXPECT_THROW(simulateTrace(decoded, "Dir0B"), UsageError);
+    EXPECT_THROW(simulateTrace(empty, "Dir0B"), UsageError);
 }
 
 } // namespace

@@ -141,47 +141,43 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
     std::uint64_t trace_refs = 0;
     for (const Trace &trace : traces)
         trace_refs += trace.size();
-    // plannedRefs is exact on both engines: the decode-once path
-    // counts records while decoding, the legacy path sums
-    // trace.size() — either way, records × schemes, not an estimate.
+    // plannedRefs is exact: the plan counts records while decoding —
+    // records × schemes, not an estimate.
     const std::uint64_t planned = 2 * trace_refs;
 
-    for (const bool decode : {true, false}) {
-        std::mutex mutex;
-        std::uint64_t last_completed_refs = 0;
-        std::size_t calls = 0;
-        bool final_seen = false;
-        RunnerConfig config;
-        config.jobs = 2;
-        config.decode = decode;
-        config.onCellComplete = [&](const GridProgress &progress) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++calls;
-            EXPECT_EQ(progress.plannedRefs, planned);
-            // completedRefs accumulates monotonically (calls are
-            // serialized) and always includes the finished cell.
-            EXPECT_GT(progress.completedRefs, last_completed_refs);
-            EXPECT_GE(progress.completedRefs, progress.cell.refs);
-            EXPECT_LE(progress.completedRefs, planned);
-            last_completed_refs = progress.completedRefs;
-            EXPECT_GE(progress.elapsedSeconds, 0.0);
-            if (progress.elapsedSeconds > 0.0) {
-                EXPECT_GT(progress.refsPerSecond(), 0.0);
-            }
-            if (progress.completedCells == progress.totalCells) {
-                final_seen = true;
-                // Everything planned was simulated; nothing remains.
-                EXPECT_EQ(progress.completedRefs, planned);
-                EXPECT_DOUBLE_EQ(progress.etaSeconds(), 0.0);
-            } else if (progress.refsPerSecond() > 0.0) {
-                EXPECT_GT(progress.etaSeconds(), 0.0);
-            }
-        };
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
-        EXPECT_EQ(calls, 2 * traces.size()) << "decode=" << decode;
-        EXPECT_TRUE(final_seen) << "decode=" << decode;
-    }
+    std::mutex mutex;
+    std::uint64_t last_completed_refs = 0;
+    std::size_t calls = 0;
+    bool final_seen = false;
+    RunnerConfig config;
+    config.jobs = 2;
+    config.onCellComplete = [&](const GridProgress &progress) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++calls;
+        EXPECT_EQ(progress.plannedRefs, planned);
+        // completedRefs accumulates monotonically (calls are
+        // serialized) and always includes the finished cell.
+        EXPECT_GT(progress.completedRefs, last_completed_refs);
+        EXPECT_GE(progress.completedRefs, progress.cell.refs);
+        EXPECT_LE(progress.completedRefs, planned);
+        last_completed_refs = progress.completedRefs;
+        EXPECT_GE(progress.elapsedSeconds, 0.0);
+        if (progress.elapsedSeconds > 0.0) {
+            EXPECT_GT(progress.refsPerSecond(), 0.0);
+        }
+        if (progress.completedCells == progress.totalCells) {
+            final_seen = true;
+            // Everything planned was simulated; nothing remains.
+            EXPECT_EQ(progress.completedRefs, planned);
+            EXPECT_DOUBLE_EQ(progress.etaSeconds(), 0.0);
+        } else if (progress.refsPerSecond() > 0.0) {
+            EXPECT_GT(progress.etaSeconds(), 0.0);
+        }
+    };
+    ExperimentRunner(config).run(
+        std::vector<std::string>{"Dir0B", "WTI"}, traces);
+    EXPECT_EQ(calls, 2 * traces.size());
+    EXPECT_TRUE(final_seen);
 }
 
 TEST(RunnerTest, CellTimingsCarryTimelineCoordinates)

@@ -199,17 +199,15 @@ TEST(ShardTest, RunnerGridsWithShardsMatchLegacyAcrossJobCounts)
     const auto traces = smallSuite();
     const auto &schemes = paperSchemes();
 
-    RunnerConfig legacy;
-    legacy.jobs = 1;
-    legacy.decode = false;
+    RunnerConfig sequential;
+    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(legacy).run(schemes, traces);
+        ExperimentRunner(sequential).run(schemes, traces);
 
     for (const unsigned jobs : {1u, 4u}) {
         for (const unsigned shards : {2u, 7u}) {
             RunnerConfig config;
             config.jobs = jobs;
-            config.decode = true;
             config.shards.shards = shards;
             const GridResult grid =
                 ExperimentRunner(config).run(schemes, traces);

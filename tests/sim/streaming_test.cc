@@ -1,9 +1,10 @@
 /**
  * @file
- * Streaming-vs-in-memory simulation equality: simulateTraceFile()
- * and ExperimentRunner::runFiles() must produce bit-identical
- * SimResults to the in-memory path for every paper scheme on every
- * standard-suite trace, over both container formats.
+ * File-vs-in-memory simulation equality: simulateTraceFile() and
+ * ExperimentRunner::runFiles(), which decode each file in one
+ * streaming read, must produce bit-identical SimResults to the
+ * in-memory path for every paper scheme on every standard-suite
+ * trace, over both container formats.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "common/logging.hh"
 #include "sim/runner.hh"
 #include "sim/suite.hh"
-#include "trace/reader.hh"
 #include "trace/writer.hh"
 
 namespace dirsim
@@ -90,18 +90,6 @@ TEST(StreamingSimTest, TextContainerStreamsIdenticallyToo)
     writeTextTraceFile(traces[0], path);
     expectIdentical(simulateTraceFile(path, "Dir1NB"),
                     simulateTrace(traces[0], "Dir1NB"));
-}
-
-TEST(StreamingSimTest, StreamingSourceOverloadMatchesProtocolOverload)
-{
-    const auto traces = smallSuite();
-    const Trace &trace = traces[1];
-    const SimResult in_memory = simulateTrace(trace, "Dir0B");
-
-    const auto protocol = makeProtocol(
-        "Dir0B", cachesNeeded(trace, SharingModel::ByProcess));
-    MemoryTraceSource source(trace);
-    expectIdentical(simulateTrace(source, *protocol), in_memory);
 }
 
 TEST(StreamingSimTest, WarmupAppliesIdenticallyWhenStreaming)

@@ -6,10 +6,45 @@
 #ifndef DIRSIM_TESTS_TEST_UTIL_HH
 #define DIRSIM_TESTS_TEST_UTIL_HH
 
+#include <memory>
+#include <utility>
+
+#include "protocols/protocol.hh"
 #include "trace/trace.hh"
 
 namespace dirsim::test
 {
+
+/**
+ * Block indices the helpers below reserve: enough for every block
+ * number the scenario tests use directly.
+ */
+inline constexpr std::uint32_t testBlocks = 1024;
+
+/**
+ * A protocol or directory reserved for testBlocks blocks on
+ * construction (its reserveBlocks()), so scenario tests can drive it
+ * with small block numbers as indices: `Reserved<Dir1NB> p(4);`.
+ */
+template <typename Protocol>
+class Reserved : public Protocol
+{
+  public:
+    template <typename... Args>
+    explicit Reserved(Args &&...args)
+        : Protocol(std::forward<Args>(args)...)
+    {
+        this->reserveBlocks(testBlocks);
+    }
+};
+
+/** @p protocol reserved for testBlocks blocks; see Reserved. */
+inline std::unique_ptr<CoherenceProtocol>
+reserved(std::unique_ptr<CoherenceProtocol> protocol)
+{
+    protocol->reserveBlocks(testBlocks);
+    return protocol;
+}
 
 /** Build a record tersely. */
 inline TraceRecord
