@@ -91,33 +91,35 @@ suite()
 namespace
 {
 
-/** Run a grid on the parallel runner and report its throughput. */
+/** Run a grid through runGrid() and report its throughput. */
 std::vector<SchemeResults>
 timedGridOrThrow(const std::vector<std::string> &schemes)
 {
-    RunnerConfig config = RunnerConfig::fromEnvironment();
     // Content-addressed cell cache (DIRSIM_CACHE_DIR): reruns of
     // identical (trace, scheme, config) cells replay stored results.
+    JobOptions options = JobOptions::fromEnvironment();
     const auto cache = FileCellCache::fromEnvironment();
-    config.cellCache = cache;
+    options.cache = cache;
 
     // Opt-in observers: a live stderr HUD (DIRSIM_PROGRESS=1) and
     // the coherence event tracer (DIRSIM_TRACE_SAMPLE=<period>).
+    RunOptions run;
     ProgressHud hud;
     if (ProgressHud::enabledFromEnvironment())
-        config.onCellComplete = hud.callback();
+        run.onProgress = hud.callback();
     const TracerConfig tracer_config = TracerConfig::fromEnvironment();
     std::unique_ptr<EventTracer> tracer;
     if (tracer_config.enabled()) {
         tracer = std::make_unique<EventTracer>(tracer_config);
-        config.makeCellTraceSink =
+        run.makeCellTraceSink =
             [&t = *tracer](const std::string &scheme,
                            const std::string &trace) {
                 return t.session(scheme, trace);
             };
     }
 
-    const ExperimentRunner runner(std::move(config));
+    const std::vector<SchemeSpec> specs = parseSchemes(schemes);
+    const std::vector<TraceRef> inputs = TraceRef::of(suite());
     GridResult grid;
     if (!jsonl_path.empty() && !artifacts_written) {
         artifacts_written = true;
@@ -127,12 +129,12 @@ timedGridOrThrow(const std::vector<std::string> &schemes)
                 tracer->exportMetrics(metrics);
             };
         JsonlSink sink(jsonl_path);
-        grid = runWithArtifacts(runner, schemes, suite(), {}, sink,
+        grid = runWithArtifacts(specs, inputs, {}, options, run, sink,
                                 extra);
         hud.finish();
         inform("artifacts: wrote ", jsonl_path);
     } else {
-        grid = runner.run(schemes, suite());
+        grid = runGrid(specs, inputs, {}, options, run);
         hud.finish();
     }
     if (tracer)

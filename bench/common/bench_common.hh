@@ -42,9 +42,10 @@ void banner(const std::string &artifact, const std::string &caption);
 const std::vector<Trace> &suite();
 
 /**
- * Grid of the paper's four schemes over the suite (cached). Runs on
- * the parallel ExperimentRunner — DIRSIM_JOBS workers (default: all
- * hardware threads) — and reports wall time and throughput on stderr.
+ * Grid of the paper's four schemes over the suite (cached). Runs
+ * through runGrid() on defaultJobs() workers (DIRSIM_JOBS, default:
+ * all hardware threads) and reports wall time and throughput on
+ * stderr.
  */
 const std::vector<SchemeResults> &paperGrid();
 

@@ -37,10 +37,13 @@ main()
         user_only.push_back(keepUserOnly(trace));
     }
 
-    const auto schemes = paperSchemes();
-    const auto full_grid = runGrid(schemes, bench::suite());
-    const auto lockless_grid = runGrid(schemes, no_locks);
-    const auto user_grid = runGrid(schemes, user_only);
+    const auto schemes = parseSchemes(paperSchemes());
+    const auto full_grid =
+        runGrid(schemes, TraceRef::of(bench::suite())).schemes;
+    const auto lockless_grid =
+        runGrid(schemes, TraceRef::of(no_locks)).schemes;
+    const auto user_grid =
+        runGrid(schemes, TraceRef::of(user_only)).schemes;
 
     TextTable table({"scheme", "total", "locks", "system", "other",
                      "lock share"});
@@ -55,7 +58,7 @@ main()
         const double system = std::max(0.0, full - without_system);
         const double other = std::max(0.0, full - locks - system);
         table.addRow({
-            schemes[i],
+            full_grid[i].scheme,
             bench::cyc(full),
             bench::cyc(locks),
             bench::cyc(system),

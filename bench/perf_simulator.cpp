@@ -119,18 +119,19 @@ gridSuite()
     return traces;
 }
 
-/** The paper grid through the runner (Arg = jobs; 0 = default
+/** The paper grid through runGrid() (Arg = jobs; 0 = default
  *  concurrency, DIRSIM_JOBS / hardware threads). */
 void
 BM_RunGrid(benchmark::State &state)
 {
-    RunnerConfig config;
-    config.jobs = static_cast<unsigned>(state.range(0));
-    const ExperimentRunner runner(config);
+    RunOptions run;
+    run.jobs = static_cast<unsigned>(state.range(0));
+    const auto schemes = parseSchemes(paperSchemes());
+    const auto inputs = TraceRef::of(gridSuite());
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
         const GridResult grid =
-            runner.run(paperSchemes(), gridSuite());
+            runGrid(schemes, inputs, {}, JobOptions{}, run);
         grid_refs = grid.totalRefs();
         benchmark::DoNotOptimize(grid.schemes.size());
     }
@@ -170,14 +171,16 @@ BENCHMARK(BM_SimulateSharded)
 void
 BM_RunGridSharded(benchmark::State &state)
 {
-    RunnerConfig config;
-    config.jobs = 1;
-    config.shards.shards = static_cast<unsigned>(state.range(0));
-    const ExperimentRunner runner(config);
+    JobOptions options;
+    options.shards.shards = static_cast<unsigned>(state.range(0));
+    RunOptions run;
+    run.jobs = 1;
+    const auto schemes = parseSchemes(paperSchemes());
+    const auto inputs = TraceRef::of(gridSuite());
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
         const GridResult grid =
-            runner.run(paperSchemes(), gridSuite());
+            runGrid(schemes, inputs, {}, options, run);
         grid_refs = grid.totalRefs();
         benchmark::DoNotOptimize(grid.schemes.size());
     }
@@ -221,13 +224,13 @@ BM_ScalingGrid(benchmark::State &state)
     ScalingParams params;
     std::vector<Trace> traces;
     traces.push_back(scalingTrace(n, params));
-    RunnerConfig config;
-    config.jobs = 1;
-    const ExperimentRunner runner(config);
+    RunOptions run;
+    run.jobs = 1;
+    const auto inputs = TraceRef::of(traces);
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
         const GridResult grid =
-            runner.run(scalingSchemes(), traces);
+            runGrid(scalingSchemes(), inputs, {}, JobOptions{}, run);
         grid_refs = grid.totalRefs();
         benchmark::DoNotOptimize(grid.schemes.size());
     }
@@ -335,13 +338,14 @@ measureScalingShardCurve(MetricRegistry &metrics)
     GridResult sequential;
     double seq_seconds = 0.0;
     for (const unsigned shards : {1u, 4u, 16u}) {
-        RunnerConfig config;
-        config.jobs = 1;
-            config.shards.shards = shards;
-        const ExperimentRunner runner(config);
+        JobOptions options;
+        options.shards.shards = shards;
+        RunOptions run;
+        run.jobs = 1;
         GridResult grid;
         const double seconds = secondsOf([&] {
-            grid = runner.run(schemes, traces);
+            grid = runGrid(schemes, TraceRef::of(traces), {}, options,
+                           run);
         });
         if (shards == 1) {
             sequential = grid;
@@ -383,17 +387,17 @@ measureWarmCacheReplay(MetricRegistry &metrics)
     const auto cache_dir = std::filesystem::temp_directory_path()
         / "dirsim_perf_cell_cache";
     std::filesystem::remove_all(cache_dir);
-    RunnerConfig config;
-    config.cellCache =
-        std::make_shared<FileCellCache>(cache_dir.string());
-    const ExperimentRunner runner(config);
+    JobOptions options;
+    options.cache = std::make_shared<FileCellCache>(cache_dir.string());
+    const auto schemes = parseSchemes(paperSchemes());
+    const auto inputs = TraceRef::of(gridSuite());
 
     GridResult cold, warm;
     const double cold_seconds = secondsOf([&] {
-        cold = runner.run(paperSchemes(), gridSuite());
+        cold = runGrid(schemes, inputs, {}, options);
     });
     const double warm_seconds = secondsOf([&] {
-        warm = runner.run(paperSchemes(), gridSuite());
+        warm = runGrid(schemes, inputs, {}, options);
     });
     fatalIf(warm.cacheHits() != warm.cells.size()
                 || warm.simulatedRefs() != 0,
@@ -441,9 +445,9 @@ main(int argc, char **argv)
         measureWarmCacheReplay(engine_metrics);
         {
             JsonlSink sink(stream);
-            const ExperimentRunner runner;
             runWithArtifacts(
-                runner, paperSchemes(), gridSuite(), {}, sink,
+                parseSchemes(paperSchemes()), TraceRef::of(gridSuite()),
+                {}, JobOptions::fromEnvironment(), {}, sink,
                 [&engine_metrics](MetricRegistry &metrics) {
                     metrics.merge(engine_metrics);
                 });
@@ -453,10 +457,9 @@ main(int argc, char **argv)
         measureScalingShardCurve(scaling_metrics);
         {
             JsonlSink sink(stream);
-            const ExperimentRunner runner;
             runWithArtifacts(
-                runner, scalingSchemes(), scalingGridSuite(), {},
-                sink,
+                scalingSchemes(), TraceRef::of(scalingGridSuite()), {},
+                JobOptions::fromEnvironment(), {}, sink,
                 [&scaling_metrics](MetricRegistry &metrics) {
                     metrics.merge(scaling_metrics);
                 });

@@ -27,7 +27,9 @@ main(int argc, char **argv)
     std::vector<Trace> filtered;
     for (const auto &trace : bench::suite())
         filtered.push_back(excludeLockRefs(trace));
-    const auto filtered_grid = runGrid(paperSchemes(), filtered);
+    const auto filtered_grid =
+        runGrid(parseSchemes(paperSchemes()), TraceRef::of(filtered))
+            .schemes;
 
     TextTable table({"scheme", "with locks", "locks excluded",
                      "change"});

@@ -83,18 +83,18 @@ run(const std::string &out_dir, std::uint64_t invariant_period)
         const Trace trace = scalingTrace(n, params);
 
         EventTracer tracer(tracer_config);
-        RunnerConfig config = RunnerConfig::fromEnvironment();
-        config.makeCellTraceSink =
+        RunOptions run;
+        run.makeCellTraceSink =
             [&tracer](const std::string &scheme,
                       const std::string &trace_name) {
                 return tracer.session(scheme, trace_name);
             };
-        const ExperimentRunner runner(std::move(config));
 
         const std::string path = artifactPath(out_dir, n);
         JsonlSink sink(path);
         const GridResult grid = runWithArtifacts(
-            runner, schemes, {trace}, sim, sink,
+            schemes, {TraceRef::of(trace)}, sim,
+            JobOptions::fromEnvironment(), run, sink,
             [&tracer](MetricRegistry &metrics) {
                 tracer.exportMetrics(metrics);
             });

@@ -1,7 +1,7 @@
 /**
  * @file
  * Environment-variable parsing shared by the DIRSIM_* configuration
- * knobs (sim/suite.hh, sim/simulator.hh, sim/runner.hh).
+ * knobs (sim/suite.hh, sim/simulator.hh, sim/job.hh).
  */
 
 #ifndef DIRSIM_COMMON_ENV_HH

@@ -72,7 +72,6 @@
 #include "sim/experiment.hh"
 #include "sim/job.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "sim/scaling.hh"
 #include "serve/client.hh"
 #include "serve/discipline.hh"

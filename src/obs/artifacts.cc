@@ -7,127 +7,56 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "common/thread_pool.hh"
 
 namespace dirsim
 {
 
-namespace
-{
-
-/** Emit manifest + cells (+ metrics) for a finished grid. */
-void
-emitArtifacts(RunManifest manifest, const GridResult &grid,
-              const std::vector<std::string> &tracePaths,
-              ResultsSink &sink, const ExtraMetricsFn &extra_metrics)
-{
-    manifest.jobs = grid.jobs;
-    sink.writeManifest(manifest);
-    const std::size_t num_traces =
-        grid.schemes.empty() ? 0 : grid.schemes[0].perTrace.size();
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        for (std::size_t t = 0; t < num_traces; ++t) {
-            const std::size_t index = s * num_traces + t;
-            sink.writeCell(CellRecord::fromCell(
-                grid.schemes[s].perTrace[t], grid.cells[index],
-                t < tracePaths.size() ? tracePaths[t]
-                                      : std::string()));
-        }
-    }
-    MetricRegistry metrics = gridMetrics(grid);
-    if (extra_metrics)
-        extra_metrics(metrics);
-    sink.writeMetrics(metrics);
-    sink.finish();
-}
-
-} // namespace
-
 GridResult
-runFilesWithArtifacts(const ExperimentRunner &runner,
-                      const std::vector<SchemeSpec> &schemes,
-                      const std::vector<std::string> &tracePaths,
-                      const SimConfig &sim, ResultsSink &sink,
-                      const ExtraMetricsFn &extraMetrics)
+runWithArtifacts(const std::vector<SchemeSpec> &schemes,
+                 const std::vector<TraceRef> &inputs,
+                 const SimConfig &sim, const JobOptions &options,
+                 const RunOptions &run, ResultsSink &sink,
+                 const ExtraMetricsFn &extraMetrics)
 {
     RunManifest manifest = RunManifest::capture(schemes, sim);
     manifest.stampStart();
-
-    GridResult grid = runner.runFiles(schemes, tracePaths, sim);
+    GridResult grid = runGrid(schemes, inputs, sim, options, run);
     manifest.stampFinish();
+    manifest.jobs = grid.jobs;
 
-    // File provenance: name/records/caches from the grid's own cell
-    // data, plus a whole-file checksum (trace-format-v2 FNV-1a).
-    const std::size_t num_traces = tracePaths.size();
-    for (std::size_t t = 0; t < num_traces; ++t) {
-        TraceProvenance trace;
-        trace.path = tracePaths[t];
-        trace.source = "file";
+    // Provenance from the grid's own first-scheme cells; trace files
+    // add a whole-file checksum (trace-format-v2 FNV-1a).
+    for (std::size_t t = 0; t < inputs.size(); ++t) {
         const SimResult &first = grid.schemes[0].perTrace[t];
+        TraceProvenance trace;
         trace.name = first.traceName;
         trace.records = grid.cells[t].refs;
         trace.caches = first.numCaches;
-        trace.checksum = fileChecksumFnv64(tracePaths[t]);
-        trace.hasChecksum = true;
+        trace.source = "memory";
+        if (inputs[t].kind == TraceRef::Kind::File) {
+            trace.path = inputs[t].path;
+            trace.source = "file";
+            trace.checksum = fileChecksumFnv64(trace.path);
+            trace.hasChecksum = true;
+        }
         manifest.traces.push_back(std::move(trace));
     }
-    emitArtifacts(std::move(manifest), grid, tracePaths, sink,
-                  extraMetrics);
-    return grid;
-}
+    sink.writeManifest(manifest);
 
-GridResult
-runFilesWithArtifacts(const ExperimentRunner &runner,
-                      const std::vector<std::string> &schemes,
-                      const std::vector<std::string> &tracePaths,
-                      const SimConfig &sim, ResultsSink &sink,
-                      const ExtraMetricsFn &extraMetrics)
-{
-    std::vector<SchemeSpec> specs;
-    specs.reserve(schemes.size());
-    for (const std::string &name : schemes)
-        specs.push_back(parseScheme(name));
-    return runFilesWithArtifacts(runner, specs, tracePaths, sim,
-                                 sink, extraMetrics);
-}
-
-GridResult
-runWithArtifacts(const ExperimentRunner &runner,
-                 const std::vector<SchemeSpec> &schemes,
-                 const std::vector<Trace> &traces,
-                 const SimConfig &sim, ResultsSink &sink,
-                 const ExtraMetricsFn &extraMetrics)
-{
-    RunManifest manifest = RunManifest::capture(schemes, sim);
-    manifest.stampStart();
-
-    GridResult grid = runner.run(schemes, traces, sim);
-    manifest.stampFinish();
-
-    for (const Trace &trace : traces) {
-        TraceProvenance provenance;
-        provenance.name = trace.name();
-        provenance.source = "memory";
-        provenance.records = trace.size();
-        provenance.caches = cachesNeeded(trace, sim.sharing);
-        manifest.traces.push_back(std::move(provenance));
+    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
+        for (std::size_t t = 0; t < inputs.size(); ++t) {
+            sink.writeCell(CellRecord::fromCell(
+                grid.schemes[s].perTrace[t],
+                grid.cells[s * inputs.size() + t], inputs[t].path));
+        }
     }
-    emitArtifacts(std::move(manifest), grid, {}, sink, extraMetrics);
+    MetricRegistry metrics = gridMetrics(grid);
+    if (extraMetrics)
+        extraMetrics(metrics);
+    sink.writeMetrics(metrics);
+    sink.finish();
     return grid;
-}
-
-GridResult
-runWithArtifacts(const ExperimentRunner &runner,
-                 const std::vector<std::string> &schemes,
-                 const std::vector<Trace> &traces,
-                 const SimConfig &sim, ResultsSink &sink,
-                 const ExtraMetricsFn &extraMetrics)
-{
-    std::vector<SchemeSpec> specs;
-    specs.reserve(schemes.size());
-    for (const std::string &name : schemes)
-        specs.push_back(parseScheme(name));
-    return runWithArtifacts(runner, specs, traces, sim, sink,
-                            extraMetrics);
 }
 
 RunArtifacts
@@ -180,17 +109,44 @@ loadArtifacts(const std::string &path)
     }
 }
 
+void
+addRunMetrics(MetricRegistry &metrics,
+              const std::vector<CellTiming> &cells, double wallSeconds,
+              unsigned jobs, bool cacheEnabled)
+{
+    std::uint64_t covered_refs = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t simulated_refs = 0;
+    for (const CellTiming &cell : cells) {
+        metrics.observe("runner.cell.wall_ms",
+                        static_cast<std::uint64_t>(cell.wallSeconds
+                                                   * 1e3));
+        covered_refs += cell.refs;
+        hits += cell.cacheHit ? 1 : 0;
+        simulated_refs += cell.simulatedRefs;
+    }
+    metrics.set("runner.grid.wall_seconds", wallSeconds);
+    metrics.set("runner.grid.refs_per_second",
+                wallSeconds > 0.0
+                    ? static_cast<double>(covered_refs) / wallSeconds
+                    : 0.0);
+    metrics.set("runner.grid.jobs", jobs);
+    metrics.set("runner.grid.hardware_threads",
+                ThreadPool::hardwareThreads());
+    metrics.set("runner.grid.cells", static_cast<double>(cells.size()));
+    if (cacheEnabled) {
+        metrics.add("runner.cache.hits", hits);
+        metrics.add("runner.cache.misses", cells.size() - hits);
+        metrics.add("runner.grid.simulated_refs", simulated_refs);
+    }
+}
+
 MetricRegistry
 gridMetrics(const GridResult &grid)
 {
     MetricRegistry metrics;
-    const std::size_t num_traces =
-        grid.schemes.empty() ? 0 : grid.schemes[0].perTrace.size();
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        for (std::size_t t = 0; t < num_traces; ++t) {
-            const SimResult &result = grid.schemes[s].perTrace[t];
-            const CellTiming &cell =
-                grid.cells[s * num_traces + t];
+    for (const SchemeResults &scheme : grid.schemes) {
+        for (const SimResult &result : scheme.perTrace) {
             // Trace and scheme names come from user input (file
             // stems may contain '.'), so each is escaped into a
             // single dotted-name segment.
@@ -212,9 +168,6 @@ gridMetrics(const GridResult &grid)
                     metrics.add(prefix + ".ops." + name,
                                 result.ops.*member);
             }
-            metrics.observe("runner.cell.wall_ms",
-                            static_cast<std::uint64_t>(
-                                cell.wallSeconds * 1e3));
             for (std::size_t p = 0; p < numPhases; ++p) {
                 const auto phase = static_cast<Phase>(p);
                 metrics.observe(std::string("runner.cell.phase.")
@@ -223,18 +176,8 @@ gridMetrics(const GridResult &grid)
             }
         }
     }
-    metrics.set("runner.grid.wall_seconds", grid.wallSeconds);
-    metrics.set("runner.grid.refs_per_second",
-                grid.refsPerSecond());
-    metrics.set("runner.grid.jobs", grid.jobs);
-    metrics.set("runner.grid.cells",
-                static_cast<double>(grid.cells.size()));
-    if (grid.cacheEnabled) {
-        metrics.add("runner.cache.hits", grid.cacheHits());
-        metrics.add("runner.cache.misses", grid.cacheMisses());
-        metrics.add("runner.grid.simulated_refs",
-                    grid.simulatedRefs());
-    }
+    addRunMetrics(metrics, grid.cells, grid.wallSeconds, grid.jobs,
+                  grid.cacheEnabled);
     return metrics;
 }
 

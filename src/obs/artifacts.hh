@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "obs/sink.hh"
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 
 namespace dirsim
 {
@@ -36,38 +36,18 @@ namespace dirsim
 using ExtraMetricsFn = std::function<void(MetricRegistry &)>;
 
 /**
- * Run every scheme on every trace *file* (each decoded once — see
- * ExperimentRunner::runFiles) and write the run's artifacts to
- * @p sink: a manifest with file provenance (record counts, cache
- * counts, whole-file FNV-1a checksums), one record per cell, and a
+ * runGrid() (sim/experiment.hh), then write the run's artifacts to
+ * @p sink: a manifest with per-input provenance (name, record and
+ * cache counts; trace files also carry their path and whole-file
+ * FNV-1a checksum, in-memory inputs are recorded with source
+ * "memory"), one record per cell in grid order, and a
  * MetricRegistry snapshot.
  */
-GridResult runFilesWithArtifacts(
-    const ExperimentRunner &runner,
-    const std::vector<SchemeSpec> &schemes,
-    const std::vector<std::string> &tracePaths, const SimConfig &sim,
-    ResultsSink &sink, const ExtraMetricsFn &extraMetrics = {});
-
-/** Name-based convenience for runFilesWithArtifacts(). */
-GridResult runFilesWithArtifacts(
-    const ExperimentRunner &runner,
-    const std::vector<std::string> &schemes,
-    const std::vector<std::string> &tracePaths, const SimConfig &sim,
-    ResultsSink &sink, const ExtraMetricsFn &extraMetrics = {});
-
-/** In-memory variant: traces are recorded with source "memory" and
- *  no path/checksum provenance. */
-GridResult runWithArtifacts(const ExperimentRunner &runner,
-                            const std::vector<SchemeSpec> &schemes,
-                            const std::vector<Trace> &traces,
-                            const SimConfig &sim, ResultsSink &sink,
-                            const ExtraMetricsFn &extraMetrics = {});
-
-/** Name-based convenience for runWithArtifacts(). */
-GridResult runWithArtifacts(const ExperimentRunner &runner,
-                            const std::vector<std::string> &schemes,
-                            const std::vector<Trace> &traces,
-                            const SimConfig &sim, ResultsSink &sink,
+GridResult runWithArtifacts(const std::vector<SchemeSpec> &schemes,
+                            const std::vector<TraceRef> &inputs,
+                            const SimConfig &sim,
+                            const JobOptions &options,
+                            const RunOptions &run, ResultsSink &sink,
                             const ExtraMetricsFn &extraMetrics = {});
 
 /** A results file, loaded. */
@@ -95,11 +75,24 @@ RunArtifacts loadArtifacts(std::istream &in);
 RunArtifacts loadArtifacts(const std::string &path);
 
 /**
- * Build the unified metric view of a finished grid:
+ * Record the run-level metrics every grid and sweep carries, from its
+ * cell timings:
+ *   runner.cell.wall_ms                                     timer
+ *   runner.grid.{wall_seconds,refs_per_second,jobs,
+ *                hardware_threads,cells}                    gauges
+ *   runner.cache.{hits,misses}, runner.grid.simulated_refs  counters
+ *                                      (only with a cell cache)
+ */
+void addRunMetrics(MetricRegistry &metrics,
+                   const std::vector<CellTiming> &cells,
+                   double wallSeconds, unsigned jobs,
+                   bool cacheEnabled);
+
+/**
+ * Build the unified metric view of a finished grid: addRunMetrics()
+ * plus
  *   sim.<trace>.<scheme>.refs / .events.<event> / .ops.<op>  counters
- *   runner.cell.wall_ms                                      timer
  *   runner.cell.phase.<phase>_ns                             timers
- *   runner.grid.{wall_seconds,refs_per_second,jobs,cells}    gauges
  */
 MetricRegistry gridMetrics(const GridResult &grid);
 

@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 
 namespace dirsim
 {

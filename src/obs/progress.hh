@@ -2,7 +2,7 @@
  * @file
  * Live grid progress on stderr.
  *
- * ProgressHud turns the runner's per-cell GridProgress callbacks into
+ * ProgressHud turns runPlan()'s per-cell GridProgress callbacks into
  * a single self-rewriting status line: cells done, the cell that just
  * finished, aggregate refs/s, and an ETA from the planned-vs-completed
  * reference counts. It is opt-in (DIRSIM_PROGRESS=1) and writes only
@@ -11,14 +11,15 @@
  *
  * @code
  *   ProgressHud hud;
- *   RunnerConfig config = RunnerConfig::fromEnvironment();
+ *   RunOptions run;
  *   if (ProgressHud::enabledFromEnvironment())
- *       config.onCellComplete = hud.callback();
- *   GridResult grid = ExperimentRunner(config).run(schemes, traces);
+ *       run.onProgress = hud.callback();
+ *   GridResult grid = runGrid(schemes, TraceRef::of(traces), {},
+ *                             JobOptions::fromEnvironment(), run);
  *   hud.finish(); // newline-terminate the status line, if any
  * @endcode
  *
- * The callback the HUD hands out is safe under the runner's progress
+ * The callback the HUD hands out is safe under runPlan()'s progress
  * serialization guarantee (calls never overlap), and finish() is
  * idempotent.
  */
@@ -28,12 +29,12 @@
 
 #include <string>
 
-#include "sim/runner.hh"
+#include "sim/job.hh"
 
 namespace dirsim
 {
 
-/** One-line stderr HUD over runner progress callbacks. */
+/** One-line stderr HUD over runPlan() progress callbacks. */
 class ProgressHud
 {
   public:
@@ -48,7 +49,7 @@ class ProgressHud
 
     /**
      * A ProgressCallback that rewrites this HUD's status line. The
-     * HUD must outlive any runner using the callback.
+     * HUD must outlive any run using the callback.
      */
     ProgressCallback callback();
 

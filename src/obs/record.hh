@@ -23,7 +23,7 @@
 
 #include "obs/phase.hh"
 #include "sim/experiment.hh"
-#include "sim/runner.hh"
+#include "sim/job.hh"
 
 namespace dirsim
 {

@@ -96,6 +96,11 @@ struct SchemeSpec
  */
 SchemeSpec parseScheme(const std::string &name);
 
+/** parseScheme() each name, in order. @throws UsageError on the
+ *  first unknown name */
+std::vector<SchemeSpec> parseSchemes(
+    const std::vector<std::string> &names);
+
 /**
  * Instantiate a protocol from its structured spec.
  *

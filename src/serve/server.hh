@@ -69,7 +69,6 @@
 #include "serve/discipline.hh"
 #include "serve/http.hh"
 #include "sim/job.hh"
-#include "sim/runner.hh"
 
 namespace dirsim
 {

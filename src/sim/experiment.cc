@@ -1,7 +1,7 @@
 #include "sim/experiment.hh"
 
 #include "common/logging.hh"
-#include "sim/runner.hh"
+#include "common/log.hh"
 
 namespace dirsim
 {
@@ -72,12 +72,95 @@ SchemeResults::paperCost(const BusCosts &costs,
                          mergedProfile(), options);
 }
 
-std::vector<SchemeResults>
-runGrid(const std::vector<std::string> &schemes,
-        const std::vector<Trace> &traces, const SimConfig &config)
+std::uint64_t
+GridResult::totalRefs() const
 {
-    const ExperimentRunner runner;
-    return runner.run(schemes, traces, config).schemes;
+    std::uint64_t refs = 0;
+    for (const auto &cell : cells)
+        refs += cell.refs;
+    return refs;
+}
+
+double
+GridResult::refsPerSecond() const
+{
+    return wallSeconds > 0.0
+        ? static_cast<double>(totalRefs()) / wallSeconds
+        : 0.0;
+}
+
+std::uint64_t
+GridResult::cacheHits() const
+{
+    std::uint64_t hits = 0;
+    for (const auto &cell : cells)
+        hits += cell.cacheHit ? 1 : 0;
+    return hits;
+}
+
+std::uint64_t
+GridResult::cacheMisses() const
+{
+    return cells.size() - cacheHits();
+}
+
+std::uint64_t
+GridResult::simulatedRefs() const
+{
+    std::uint64_t refs = 0;
+    for (const auto &cell : cells)
+        refs += cell.simulatedRefs;
+    return refs;
+}
+
+GridResult
+runGrid(const std::vector<SchemeSpec> &schemes,
+        const std::vector<TraceRef> &inputs, const SimConfig &sim,
+        const JobOptions &options, const RunOptions &run)
+{
+    fatalIf(schemes.empty(), "experiment grid with no schemes");
+    fatalIf(inputs.empty(), "experiment grid with no traces");
+
+    std::vector<SimJob> jobs;
+    jobs.reserve(schemes.size() * inputs.size());
+    for (const SchemeSpec &scheme : schemes)
+        for (const TraceRef &input : inputs)
+            jobs.push_back({input, scheme, sim});
+
+    // Planning (decode + checksum each distinct input once) is grid
+    // setup, charged as Read time; it makes plannedRefs exact by
+    // construction.
+    const std::uint64_t plan_start = PhaseTimer::nowNs();
+    const SimPlan plan = buildPlan(jobs, options);
+    const std::uint64_t plan_ns = PhaseTimer::nowNs() - plan_start;
+    logEvent(LogLevel::Debug, "runner.grid.start")
+        .field("schemes", static_cast<std::uint64_t>(schemes.size()))
+        .field("traces", static_cast<std::uint64_t>(inputs.size()))
+        .field("planned_refs", plan.plannedRefs());
+
+    PlanRun ran = runPlan(plan, run);
+    GridResult grid;
+    grid.schemes.resize(schemes.size());
+    for (std::size_t s = 0; s < schemes.size(); ++s)
+        grid.schemes[s].scheme = schemes[s].name();
+    for (std::size_t i = 0; i < ran.cells.size(); ++i) {
+        CellOutcome &cell = *ran.cells[i];
+        grid.schemes[i / inputs.size()].perTrace.push_back(
+            std::move(cell.result));
+        grid.cells.push_back(std::move(cell.timing));
+    }
+    grid.wallSeconds = ran.wallSeconds;
+    grid.startNs = ran.startNs;
+    grid.jobs = ran.jobs;
+    grid.setupPhases.add(Phase::Read, plan_ns);
+    grid.cacheEnabled = options.cache != nullptr;
+    logEvent(LogLevel::Debug, "runner.grid.finished")
+        .field("cells", static_cast<std::uint64_t>(grid.cells.size()))
+        .field("jobs", grid.jobs)
+        .field("cache_hits",
+               static_cast<std::uint64_t>(grid.cacheHits()))
+        .field("wall_seconds", grid.wallSeconds);
+    return grid;
 }
 
 CycleBreakdown

@@ -1,17 +1,26 @@
 /**
  * @file
- * Experiment orchestration: run scheme x trace x bus grids and
- * aggregate the results the way the paper does (event frequencies
- * averaged across traces, cost models applied afterwards).
+ * Experiment orchestration: run scheme x trace grids and aggregate
+ * the results the way the paper does (event frequencies averaged
+ * across traces, cost models applied afterwards).
+ *
+ * runGrid() expands the grid into scheme-major SimJobs, plans them
+ * once (each distinct trace decoded and checksummed once) and hands
+ * the plan to runPlan() (sim/job.hh), the one cell executor. Results
+ * do not depend on the worker count: each cell builds its own
+ * protocol and replays a shared immutable stream, and the output
+ * order is fixed by the input order.
  */
 
 #ifndef DIRSIM_SIM_EXPERIMENT_HH
 #define DIRSIM_SIM_EXPERIMENT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bus/cost_model.hh"
+#include "sim/job.hh"
 #include "sim/simulator.hh"
 
 namespace dirsim
@@ -54,22 +63,58 @@ struct SchemeResults
                              const CostOptions &options = {}) const;
 };
 
+/** Everything one grid run produces. */
+struct GridResult
+{
+    /** Per-scheme results, schemes and traces in input order. */
+    std::vector<SchemeResults> schemes;
+    /** Per-cell metrics in grid (scheme-major) order. */
+    std::vector<CellTiming> cells;
+    /** End-to-end wall time of the cells (planning excluded). */
+    double wallSeconds = 0.0;
+    /** Grid start on the PhaseTimer::nowNs() clock (timeline zero). */
+    std::uint64_t startNs = 0;
+    /** Worker threads the grid was given (RunOptions resolved). */
+    unsigned jobs = 1;
+    /**
+     * Grid-level work outside any cell: planning (decoding and
+     * checksumming each input) lands here as Read time. Per-cell
+     * phase splits live in each SimResult::phases.
+     */
+    PhaseBreakdown setupPhases;
+    /** True when the grid ran with a cell cache configured. */
+    bool cacheEnabled = false;
+
+    /** Aggregate throughput: every covered ref (simulated or
+     *  replayed from the cell cache) over the wall time. */
+    double refsPerSecond() const;
+    /** Sum of every cell's covered references (cached or not). */
+    std::uint64_t totalRefs() const;
+    /** Cells served from the cell cache. */
+    std::uint64_t cacheHits() const;
+    /** Cells that actually simulated. */
+    std::uint64_t cacheMisses() const;
+    /** References actually simulated (0 for a fully warm cache). */
+    std::uint64_t simulatedRefs() const;
+};
+
 /**
- * Run every scheme on every trace.
+ * Run every scheme on every input.
  *
- * A thin wrapper over ExperimentRunner (sim/runner.hh): cells execute
- * on a worker pool sized by DIRSIM_JOBS (default: hardware threads;
- * 1 = the exact legacy sequential path), and the returned ordering
- * and results are identical to a sequential run. Use the runner
- * directly for progress callbacks and per-cell timing.
- *
- * @param schemes scheme names for protocols/registry.hh
- * @param traces input traces
- * @param config simulation parameters
+ * @param schemes scheme specs (protocols/registry.hh parseSchemes())
+ * @param inputs in-memory traces, decoded streams or trace files
+ *        (TraceRef); each is read and decoded exactly once
+ * @param sim simulation parameters applied to every cell
+ * @param options sharding and the cell cache
+ * @param run workers, progress and tracing (RunOptions)
+ * @throws UsageError on empty inputs; any cell's exception is
+ *         rethrown after the remaining cells finish
  */
-std::vector<SchemeResults> runGrid(
-    const std::vector<std::string> &schemes,
-    const std::vector<Trace> &traces, const SimConfig &config = {});
+GridResult runGrid(const std::vector<SchemeSpec> &schemes,
+                   const std::vector<TraceRef> &inputs,
+                   const SimConfig &sim = {},
+                   const JobOptions &options = JobOptions::fromEnvironment(),
+                   const RunOptions &run = {});
 
 /** Component-wise arithmetic mean of breakdowns. */
 CycleBreakdown averageBreakdowns(

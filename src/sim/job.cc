@@ -4,7 +4,9 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/bitops.hh"
 #include "common/env.hh"
@@ -25,6 +27,14 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/** Opaque identity of the calling thread for timeline lanes. */
+std::uint64_t
+currentThreadTag()
+{
+    return static_cast<std::uint64_t>(
+        std::hash<std::thread::id>{}(std::this_thread::get_id()));
 }
 
 const char *
@@ -60,6 +70,26 @@ TraceRef::file(std::string path)
     ref.kind = Kind::File;
     ref.path = std::move(path);
     return ref;
+}
+
+std::vector<TraceRef>
+TraceRef::of(const std::vector<Trace> &traces)
+{
+    std::vector<TraceRef> refs;
+    refs.reserve(traces.size());
+    for (const Trace &trace : traces)
+        refs.push_back(of(trace));
+    return refs;
+}
+
+std::vector<TraceRef>
+TraceRef::files(const std::vector<std::string> &paths)
+{
+    std::vector<TraceRef> refs;
+    refs.reserve(paths.size());
+    for (const std::string &path : paths)
+        refs.push_back(file(path));
+    return refs;
 }
 
 ShardPlan
@@ -487,25 +517,38 @@ simulateTraceSharded(const DecodedTrace &decoded,
     return result;
 }
 
+namespace
+{
+
+/** Execute one cell of a plan and stamp its timing. Safe to call for
+ *  different indices from concurrent workers. */
 CellOutcome
 runPlannedCell(const SimPlan &plan, std::size_t index,
-               const ShardSinkFactory &make_sink)
+               const RunOptions::CellSinkFactory &make_cell_sink)
 {
-    panicIfNot(index < plan.cells.size(),
-               "runPlannedCell index ", index, " outside a plan of ",
-               plan.cells.size(), " cells");
     const PlannedCell &cell = plan.cells[index];
     CellOutcome out;
-    out.records = cell.records;
+    CellTiming &timing = out.timing;
+    timing.scheme = cell.scheme.name();
+    timing.traceName = cell.traceName;
+    timing.refs = cell.records;
+    timing.startNs = PhaseTimer::nowNs();
+    timing.threadTag = currentThreadTag();
     const auto start = Clock::now();
+
+    ShardSinkFactory make_sink;
+    if (make_cell_sink) {
+        make_sink = [&make_cell_sink, &timing](unsigned) {
+            return make_cell_sink(timing.scheme, timing.traceName);
+        };
+    }
 
     // Traced cells skip the lookup (a replayed result cannot feed the
     // sinks) but still store: the result is identical either way.
     if (cell.cacheable && plan.cache && !make_sink
         && plan.cache->lookup(cell.cacheKey, out.result)) {
-        out.cacheHit = true;
-        out.simulatedRefs = 0;
-        out.wallSeconds = secondsSince(start);
+        timing.cacheHit = true;
+        timing.wallSeconds = secondsSince(start);
         return out;
     }
 
@@ -518,43 +561,120 @@ runPlannedCell(const SimPlan &plan, std::size_t index,
         const auto sink = attachSingleSink(make_sink, config);
         out.result = simulateTrace(*cell.stream, cell.scheme, config);
     }
-    out.simulatedRefs = cell.stream->numRecords();
-    out.shardsUsed = cell.shards;
-    out.wallSeconds = secondsSince(start);
+    timing.simulatedRefs = cell.stream->numRecords();
+    timing.shards = cell.shards;
+    timing.wallSeconds = secondsSince(start);
     if (cell.cacheable && plan.cache)
-        plan.cache->store(cell.cacheKey, out.result, out.wallSeconds);
+        plan.cache->store(cell.cacheKey, out.result,
+                          timing.wallSeconds);
     return out;
+}
+
+} // namespace
+
+unsigned
+defaultJobs()
+{
+    const unsigned jobs = envUnsigned("DIRSIM_JOBS", 0);
+    return jobs > 0 ? jobs : ThreadPool::hardwareThreads();
+}
+
+unsigned
+RunOptions::resolvedJobs() const
+{
+    return jobs > 0 ? jobs : defaultJobs();
+}
+
+bool
+PlanRun::completed() const
+{
+    return std::all_of(cells.begin(), cells.end(),
+                       [](const auto &cell) { return cell.has_value(); });
+}
+
+PlanRun
+runPlan(const SimPlan &plan, const RunOptions &options)
+{
+    const std::size_t num_cells = plan.cells.size();
+    const std::uint64_t planned_refs = plan.plannedRefs();
+    PlanRun run;
+    run.cells.resize(num_cells);
+    run.jobs = options.resolvedJobs();
+    const auto start = Clock::now();
+    run.startNs = PhaseTimer::nowNs();
+
+    std::mutex mutex;
+    std::size_t completed = 0;
+    std::size_t cache_hits = 0;
+    std::uint64_t simulated_cells = 0;
+    std::uint64_t completed_refs = 0;
+    bool stopped = false;
+
+    const auto dispatch = [&](std::size_t index) {
+        {
+            // Pre-dispatch gate: budget and cancellation stop
+            // dispatching; in-flight cells always finish.
+            std::lock_guard<std::mutex> lock(mutex);
+            stopped = stopped
+                || (options.cancel
+                    && options.cancel->load(std::memory_order_relaxed))
+                || (options.maxSimulatedCells != 0
+                    && simulated_cells >= options.maxSimulatedCells);
+            if (stopped)
+                return;
+        }
+        CellOutcome outcome =
+            runPlannedCell(plan, index, options.makeCellTraceSink);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++completed;
+        completed_refs += outcome.timing.refs;
+        if (outcome.timing.cacheHit)
+            ++cache_hits;
+        else
+            ++simulated_cells;
+        if (options.onProgress) {
+            options.onProgress(GridProgress{
+                completed, num_cells, outcome.timing,
+                secondsSince(start), completed_refs, planned_refs,
+                cache_hits});
+        }
+        run.cells[index] = std::move(outcome);
+    };
+
+    if (run.jobs == 1 || num_cells <= 1) {
+        for (std::size_t i = 0; i < num_cells; ++i)
+            dispatch(i);
+    } else {
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(run.jobs, num_cells)));
+        for (std::size_t i = 0; i < num_cells; ++i)
+            pool.submit([&dispatch, i] { dispatch(i); });
+        pool.wait();
+    }
+    run.wallSeconds = secondsSince(start);
+    return run;
 }
 
 CellOutcome
 runJob(const SimJob &job, const JobOptions &options)
 {
-    const SimPlan plan = buildPlan({job}, options);
-    return runPlannedCell(plan, 0);
+    RunOptions sequential;
+    sequential.jobs = 1;
+    return std::move(*runPlan(buildPlan({job}, options), sequential)
+                          .cells[0]);
 }
 
 std::vector<CellOutcome>
 runJobs(const std::vector<SimJob> &jobs, const JobOptions &options,
         unsigned workers)
 {
-    const SimPlan plan = buildPlan(jobs, options);
-    std::vector<CellOutcome> outcomes(plan.cells.size());
-    if (workers == 0) {
-        const unsigned env = envUnsigned("DIRSIM_JOBS", 0);
-        workers = env > 0 ? env : ThreadPool::hardwareThreads();
-    }
-    if (workers <= 1 || plan.cells.size() <= 1) {
-        for (std::size_t i = 0; i < plan.cells.size(); ++i)
-            outcomes[i] = runPlannedCell(plan, i);
-        return outcomes;
-    }
-    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
-        workers, plan.cells.size())));
-    for (std::size_t i = 0; i < plan.cells.size(); ++i)
-        pool.submit([&plan, &outcomes, i] {
-            outcomes[i] = runPlannedCell(plan, i);
-        });
-    pool.wait();
+    RunOptions run;
+    run.jobs = workers;
+    PlanRun ran = runPlan(buildPlan(jobs, options), run);
+    std::vector<CellOutcome> outcomes;
+    outcomes.reserve(ran.cells.size());
+    for (auto &cell : ran.cells)
+        outcomes.push_back(std::move(*cell));
     return outcomes;
 }
 

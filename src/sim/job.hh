@@ -1,20 +1,20 @@
 /**
  * @file
- * The composable simulation entry point.
+ * The composable simulation entry point and the one cell executor.
  *
  * Every way of running a simulation — an in-memory Trace, a decoded
- * stream, a trace file; one scheme or a whole grid — is one shape
- * here: a SimJob (trace reference + scheme + SimConfig) expanded by
- * buildPlan() into a SimPlan of executable cells, each run by
- * runPlannedCell(). buildPlan() decodes every distinct input once
+ * stream, a trace file; one scheme, a scheme x trace grid, or a sweep
+ * — is one shape here: SimJobs (trace reference + scheme + SimConfig)
+ * expanded by buildPlan() into a SimPlan of executable cells, which
+ * runPlan() dispatches. buildPlan() decodes every distinct input once
  * (sim/decoded.hh) and every cell replays the shared decoded stream.
- * The other entry points (the scheme-building simulateTrace()
- * overloads, runGrid(), ExperimentRunner::run()/runFiles()) are thin
- * wrappers over this engine, so they stay bit-identical to each other
- * by construction.
+ * runPlan() is the only code that submits cells to a worker pool:
+ * runJob()/runJobs(), runGrid() (sim/experiment.hh), runSweep()
+ * (sweep/run.hh) and the scheme-building simulateTrace() overloads
+ * all call it, so they stay bit-identical to each other by
+ * construction.
  *
- * The engine adds two capabilities the legacy names expose through
- * options:
+ * The engine adds two capabilities through JobOptions:
  *
  *  - **Block-sharded cells** (ShardPlan): a decoded cell's dense
  *    block indices are partitioned into K shards simulated on
@@ -35,9 +35,11 @@
 #ifndef DIRSIM_SIM_JOB_HH
 #define DIRSIM_SIM_JOB_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,11 @@ struct TraceRef
     static TraceRef of(const Trace &trace);
     static TraceRef of(const DecodedTrace &decoded);
     static TraceRef file(std::string path);
+
+    /** One reference per trace, in order (a grid's inputs). */
+    static std::vector<TraceRef> of(const std::vector<Trace> &traces);
+    static std::vector<TraceRef> files(
+        const std::vector<std::string> &paths);
 };
 
 /** One simulation request: what to run, under which scheme, how. */
@@ -184,7 +191,8 @@ struct PlannedCell
     SimConfig config;
     /** Shared decoded stream (plan-owned or caller-owned). */
     const DecodedTrace *stream = nullptr;
-    /** Workload name. */
+    /** Workload name; labels the cell's CellTiming (a sweep puts the
+     *  cell's sweep label here). */
     std::string traceName;
     /** Records this cell will process. */
     std::uint64_t records = 0;
@@ -206,19 +214,157 @@ struct SimPlan
     std::uint64_t plannedRefs() const;
 };
 
+/** Execution metrics of one cell, stamped by runPlan(). */
+struct CellTiming
+{
+    std::string scheme;
+    std::string traceName;
+    /** References the cell covers (trace records incl. fetches),
+     *  simulated or replayed from the cell cache. */
+    std::uint64_t refs = 0;
+    double wallSeconds = 0.0;
+    /**
+     * Cell start on the PhaseTimer::nowNs() clock and an opaque tag
+     * of the worker thread that ran it — enough to lay the run out
+     * on a per-worker timeline (obs/chrome_trace.hh).
+     */
+    std::uint64_t startNs = 0;
+    std::uint64_t threadTag = 0;
+    /** True when the result came from the cell cache. */
+    bool cacheHit = false;
+    /** Shards the cell's simulation used (1 = sequential). */
+    unsigned shards = 1;
+    /** Records actually simulated: 0 for cache hits. */
+    std::uint64_t simulatedRefs = 0;
+
+    /** Simulation throughput; 0 when the cell ran too fast to time. */
+    double refsPerSecond() const
+    {
+        return wallSeconds > 0.0
+            ? static_cast<double>(refs) / wallSeconds
+            : 0.0;
+    }
+};
+
+/** Snapshot handed to the progress callback after each cell. */
+struct GridProgress
+{
+    /** Cells finished so far (including this one). */
+    std::size_t completedCells = 0;
+    std::size_t totalCells = 0;
+    /** The cell that just finished. */
+    const CellTiming &cell;
+    /** Wall time since the run started. */
+    double elapsedSeconds = 0.0;
+    /** References covered by the cells finished so far. */
+    std::uint64_t completedRefs = 0;
+    /** References the whole plan covers (known up front). */
+    std::uint64_t plannedRefs = 0;
+    /** Cells served from the cell cache so far. */
+    std::size_t cacheHits = 0;
+
+    /** Aggregate throughput so far; 0 until measurable. */
+    double refsPerSecond() const
+    {
+        return elapsedSeconds > 0.0
+            ? static_cast<double>(completedRefs) / elapsedSeconds
+            : 0.0;
+    }
+
+    /** Remaining-work estimate from the throughput so far; 0 when
+     *  unknown or done. */
+    double etaSeconds() const
+    {
+        const double rate = refsPerSecond();
+        if (rate <= 0.0 || plannedRefs <= completedRefs)
+            return 0.0;
+        return static_cast<double>(plannedRefs - completedRefs)
+            / rate;
+    }
+};
+
+/**
+ * Invoked after every finished cell. Calls are serialized (never
+ * concurrent) but, with jobs > 1, arrive in completion order, not
+ * plan order.
+ */
+using ProgressCallback = std::function<void(const GridProgress &)>;
+
+/**
+ * The DIRSIM_JOBS environment override when set and non-zero,
+ * otherwise the hardware thread count.
+ *
+ * @throws UsageError when DIRSIM_JOBS is not a number
+ */
+unsigned defaultJobs();
+
+/** How runPlan() dispatches a plan's cells. */
+struct RunOptions
+{
+    /**
+     * Worker threads; 0 resolves to defaultJobs(). 1 (or a
+     * single-cell plan) runs every cell in plan order on the calling
+     * thread — no pool, no worker threads.
+     */
+    unsigned jobs = 0;
+
+    /** Optional per-cell completion hook (see ProgressCallback). */
+    ProgressCallback onProgress;
+
+    /**
+     * Builds one trace sink (obs/tracer.hh sessions) per cell shard,
+     * keyed by (scheme, trace). Called on the worker thread that runs
+     * the shard; the sink is attached for that shard only and
+     * destroyed (merging its data) when the shard finishes. Returning
+     * nullptr leaves the cell untraced.
+     */
+    using CellSinkFactory =
+        std::function<std::unique_ptr<ProtocolTraceSink>(
+            const std::string &scheme, const std::string &trace)>;
+
+    /** Optional per-cell tracer-session factory (empty = no tracing). */
+    CellSinkFactory makeCellTraceSink;
+
+    /** Cooperative cancellation: once it reads true, no further cells
+     *  are dispatched. */
+    const std::atomic<bool> *cancel = nullptr;
+
+    /**
+     * Simulation budget: stop dispatching cells once this many have
+     * been *simulated* (cache hits are free and do not count). 0 =
+     * unlimited. Deterministic with jobs = 1; with more workers,
+     * in-flight cells still finish.
+     */
+    std::uint64_t maxSimulatedCells = 0;
+
+    /** jobs, with 0 resolved through defaultJobs(). */
+    unsigned resolvedJobs() const;
+};
+
 /** What executing one cell produced. */
 struct CellOutcome
 {
     SimResult result;
-    /** True when the result came from the cache, not simulation. */
-    bool cacheHit = false;
-    /** Shards the simulation used (1 for cached cells). */
-    unsigned shardsUsed = 1;
-    /** Records actually simulated: 0 on a cache hit. */
-    std::uint64_t simulatedRefs = 0;
-    /** Records the cell covers, simulated or replayed. */
-    std::uint64_t records = 0;
+    CellTiming timing;
+};
+
+/** Everything one runPlan() call produces. */
+struct PlanRun
+{
+    /**
+     * One slot per plan cell, in plan order regardless of
+     * scheduling; empty for cells the dispatch gate (cancel,
+     * maxSimulatedCells) never started.
+     */
+    std::vector<std::optional<CellOutcome>> cells;
+    /** Run start on the PhaseTimer::nowNs() clock (timeline zero). */
+    std::uint64_t startNs = 0;
     double wallSeconds = 0.0;
+    /** The resolved worker count. */
+    unsigned jobs = 1;
+
+    /** True when every cell ran. */
+    bool completed() const;
 };
 
 /**
@@ -230,25 +376,30 @@ SimPlan buildPlan(const std::vector<SimJob> &jobs,
                   const JobOptions &options = JobOptions::fromEnvironment());
 
 /**
- * Execute one cell of a plan: cache lookup, sharded or sequential
- * simulation, cache store. Safe to call for different indices from
- * concurrent workers. @p make_sink builds per-shard trace sinks for
- * this cell (tracing disables the cache *lookup* — a replayed result
- * cannot feed a tracer — but the result is still stored).
+ * Execute a plan: per cell, a cache lookup, sharded or sequential
+ * simulation, and a cache store, with the cell's CellTiming stamped
+ * around it. With jobs == 1 or a single cell, the cells run in plan
+ * order on the calling thread; otherwise on a pool of
+ * min(jobs, cells) workers. Results do not depend on scheduling.
+ *
+ * Cancellation and the simulation budget only stop *dispatching*:
+ * in-flight cells always finish and are recorded (and cached), which
+ * is what makes a cut run resumable. A traced cell skips the cache
+ * lookup (a replayed result cannot feed a tracer) but still stores.
+ *
+ * @throws whatever a cell threw (UsageError for unrunnable cells);
+ *         with a pool, after the remaining cells finish
  */
-CellOutcome runPlannedCell(const SimPlan &plan, std::size_t index,
-                           const ShardSinkFactory &make_sink = {});
+PlanRun runPlan(const SimPlan &plan, const RunOptions &options = {});
 
-/** Plan and run a single job. */
+/** Plan and run a single job on the calling thread. */
 CellOutcome runJob(const SimJob &job,
                    const JobOptions &options = JobOptions::fromEnvironment());
 
 /**
- * Plan and run a batch of jobs on @p workers threads (0 = the
- * DIRSIM_JOBS/hardware default; 1 = sequential on this thread).
- * Outcomes are returned in job order regardless of scheduling. For
- * scheme x trace grids with progress callbacks and timing telemetry,
- * use ExperimentRunner (a wrapper over the same engine).
+ * buildPlan() then runPlan() a batch of jobs on @p workers threads
+ * (0 = defaultJobs(); 1 = sequential on this thread). Outcomes are
+ * returned in job order regardless of scheduling.
  */
 std::vector<CellOutcome> runJobs(
     const std::vector<SimJob> &jobs,

@@ -1,31 +1,16 @@
 #include "sweep/run.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
-#include <mutex>
-#include <optional>
-#include <thread>
 
 #include "common/log.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
-#include "obs/phase.hh"
+#include "obs/artifacts.hh"
 
 namespace dirsim
 {
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start)
-        .count();
-}
 
 /** Manifest with per-instance provenance (generated instances are
  *  "memory" sources named by their sweep label; files carry the
@@ -59,29 +44,6 @@ captureSweepManifest(const SweepPlan &plan,
     return manifest;
 }
 
-/** Opaque identity of the calling thread for timeline lanes
- *  (mirrors the runner's tag so traces compose). */
-std::uint64_t
-workerThreadTag()
-{
-    return static_cast<std::uint64_t>(
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
-/** Mutable run state shared by the workers (mutex-guarded). */
-struct RunState
-{
-    std::mutex mutex;
-    std::vector<std::optional<CellOutcome>> outcomes;
-    std::vector<std::uint64_t> cellStartNs;
-    std::vector<std::uint64_t> cellThreadTags;
-    std::size_t executedCells = 0;
-    std::uint64_t simulatedCells = 0;
-    std::uint64_t completedRefs = 0;
-    std::uint64_t cacheHits = 0;
-    bool stopped = false;
-};
-
 } // namespace
 
 SweepOutcome
@@ -112,13 +74,15 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
     engine.cache = options.cache;
     SimPlan sim_plan = buildPlan(jobs, engine);
 
-    // Apply the per-cell shard axis. buildPlan resolved everything to
+    // Label each cell's timing and progress with its sweep label, and
+    // apply the per-cell shard axis. buildPlan resolved everything to
     // one shard (the plan-wide default); a cell that can shard — one
     // with infinite caches — takes its axis value, capped by its
     // block count.
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
         const unsigned want = plan.cells[i].shards;
         PlannedCell &planned = sim_plan.cells[i];
+        planned.traceName = plan.cells[i].label;
         if (want <= 1 || planned.config.finiteCache)
             continue;
         planned.shards = static_cast<unsigned>(
@@ -132,135 +96,48 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
     outcome.manifest = captureSweepManifest(plan, traces);
     outcome.manifest.stampStart();
 
-    const unsigned resolved_jobs = options.jobs != 0
-        ? options.jobs
-        : RunnerConfig::defaultJobs();
-    outcome.manifest.jobs = resolved_jobs;
-
-    const std::uint64_t planned_refs = sim_plan.plannedRefs();
-    const Clock::time_point start = Clock::now();
-    outcome.startNs = PhaseTimer::nowNs();
-
-    RunState state;
-    state.outcomes.resize(plan.cells.size());
-    state.cellStartNs.resize(plan.cells.size(), 0);
-    state.cellThreadTags.resize(plan.cells.size(), 0);
-
     const std::string run_label = options.runLabel.empty()
         ? plan.spec.name
         : options.runLabel;
+    // Resolve the worker count once: it is logged, recorded in the
+    // manifest and the metrics, and used by the executor.
+    RunOptions run;
+    run.jobs = options.jobs;
+    run.jobs = run.resolvedJobs();
+    run.cancel = options.cancel;
+    run.maxSimulatedCells = options.maxSimulatedCells;
+    run.onProgress = [&](const GridProgress &progress) {
+        logEvent(LogLevel::Debug, "sweep.cell.finished")
+            .field("run", run_label)
+            .field("cell", progress.cell.traceName)
+            .field("scheme", progress.cell.scheme)
+            .field("refs", progress.cell.refs)
+            .field("cache_hit", progress.cell.cacheHit)
+            .field("wall_seconds", progress.cell.wallSeconds);
+        if (options.onProgress)
+            options.onProgress(progress);
+    };
+    outcome.manifest.jobs = run.jobs;
     logEvent(LogLevel::Info, "sweep.run.start")
         .field("run", run_label)
         .field("name", plan.spec.name)
         .field("cells", static_cast<std::uint64_t>(plan.cells.size()))
-        .field("jobs", resolved_jobs);
+        .field("jobs", run.jobs);
 
-    // Pre-dispatch gate (under state.mutex): budget and cancellation
-    // stop *dispatching*; in-flight cells always finish and are
-    // recorded (and cached), which is what makes the cut resumable.
-    const auto should_stop = [&]() {
-        if (state.stopped)
-            return true;
-        if (options.cancel
-            && options.cancel->load(std::memory_order_relaxed))
-            state.stopped = true;
-        else if (options.maxSimulatedCells != 0
-                 && state.simulatedCells >= options.maxSimulatedCells)
-            state.stopped = true;
-        return state.stopped;
-    };
-
-    const auto record_outcome = [&](std::size_t index,
-                                    std::uint64_t start_ns,
-                                    CellOutcome cell_outcome) {
-        logEvent(LogLevel::Debug, "sweep.cell.finished")
-            .field("run", run_label)
-            .field("cell", plan.cells[index].label)
-            .field("scheme", plan.cells[index].scheme.name())
-            .field("refs", cell_outcome.records)
-            .field("cache_hit", cell_outcome.cacheHit)
-            .field("wall_seconds", cell_outcome.wallSeconds);
-        std::lock_guard<std::mutex> lock(state.mutex);
-        state.cellStartNs[index] = start_ns;
-        state.cellThreadTags[index] = workerThreadTag();
-        ++state.executedCells;
-        if (cell_outcome.cacheHit)
-            ++state.cacheHits;
-        else
-            ++state.simulatedCells;
-        state.completedRefs += cell_outcome.records;
-        if (options.onProgress) {
-            CellTiming timing;
-            timing.scheme = plan.cells[index].scheme.name();
-            timing.traceName = plan.cells[index].label;
-            timing.refs = cell_outcome.records;
-            timing.wallSeconds = cell_outcome.wallSeconds;
-            timing.cacheHit = cell_outcome.cacheHit;
-            timing.shards = cell_outcome.shardsUsed;
-            timing.simulatedRefs = cell_outcome.simulatedRefs;
-            GridProgress progress{state.executedCells,
-                                  plan.cells.size(),
-                                  timing,
-                                  secondsSince(start),
-                                  state.completedRefs,
-                                  planned_refs,
-                                  state.cacheHits};
-            options.onProgress(progress);
-        }
-        state.outcomes[index] = std::move(cell_outcome);
-    };
-
-    if (resolved_jobs <= 1) {
-        for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-            {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                if (should_stop())
-                    break;
-            }
-            const std::uint64_t start_ns = PhaseTimer::nowNs();
-            record_outcome(i, start_ns, runPlannedCell(sim_plan, i));
-        }
-    } else {
-        ThreadPool pool(resolved_jobs);
-        for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-            pool.submit([&, i] {
-                {
-                    std::lock_guard<std::mutex> lock(state.mutex);
-                    if (should_stop())
-                        return;
-                }
-                const std::uint64_t start_ns = PhaseTimer::nowNs();
-                record_outcome(i, start_ns,
-                               runPlannedCell(sim_plan, i));
-            });
-        }
-        pool.wait();
-    }
-
-    outcome.wallSeconds = secondsSince(start);
+    PlanRun ran = runPlan(sim_plan, run);
+    outcome.startNs = ran.startNs;
+    outcome.wallSeconds = ran.wallSeconds;
     outcome.manifest.stampFinish();
-    outcome.completed = state.executedCells == plan.cells.size();
+    outcome.completed = ran.completed();
 
-    std::uint64_t covered_refs = 0;
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-        if (!state.outcomes[i])
+        if (!ran.cells[i])
             continue;
-        const CellOutcome &cell_outcome = *state.outcomes[i];
-        CellTiming timing;
-        timing.scheme = plan.cells[i].scheme.name();
-        timing.traceName = plan.cells[i].label;
-        timing.refs = cell_outcome.records;
-        timing.wallSeconds = cell_outcome.wallSeconds;
-        timing.cacheHit = cell_outcome.cacheHit;
-        timing.shards = cell_outcome.shardsUsed;
-        timing.simulatedRefs = cell_outcome.simulatedRefs;
-        timing.startNs = state.cellStartNs[i];
-        timing.threadTag = state.cellThreadTags[i];
-        outcome.timings.push_back(timing);
+        const CellOutcome &cell = *ran.cells[i];
         const SweepTraceInstance &instance =
             plan.traces[plan.cells[i].traceIndex];
         CellRecord record = CellRecord::fromCell(
-            cell_outcome.result, timing,
+            cell.result, cell.timing,
             instance.kind == SweepTraceEntry::Kind::File
                 ? instance.path
                 : std::string());
@@ -269,37 +146,16 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
         record.trace = plan.cells[i].label;
         outcome.records.push_back(std::move(record));
         outcome.cellIndices.push_back(i);
-
-        if (cell_outcome.cacheHit)
+        outcome.timings.push_back(cell.timing);
+        if (cell.timing.cacheHit)
             ++outcome.cacheHits;
         else
             ++outcome.cacheMisses;
-        outcome.simulatedRefs += cell_outcome.simulatedRefs;
-        covered_refs += cell_outcome.records;
-        outcome.metrics.observe(
-            "runner.cell.wall_ms",
-            static_cast<std::uint64_t>(cell_outcome.wallSeconds
-                                       * 1e3));
+        outcome.simulatedRefs += cell.timing.simulatedRefs;
     }
 
-    outcome.metrics.set("runner.grid.wall_seconds",
-                        outcome.wallSeconds);
-    outcome.metrics.set(
-        "runner.grid.refs_per_second",
-        outcome.wallSeconds > 0.0
-            ? static_cast<double>(covered_refs) / outcome.wallSeconds
-            : 0.0);
-    outcome.metrics.set("runner.grid.jobs", resolved_jobs);
-    outcome.metrics.set(
-        "runner.grid.cells",
-        static_cast<double>(outcome.records.size()));
-    if (options.cache) {
-        outcome.metrics.add("runner.cache.hits", outcome.cacheHits);
-        outcome.metrics.add("runner.cache.misses",
-                            outcome.cacheMisses);
-        outcome.metrics.add("runner.grid.simulated_refs",
-                            outcome.simulatedRefs);
-    }
+    addRunMetrics(outcome.metrics, outcome.timings, outcome.wallSeconds,
+                  run.jobs, options.cache != nullptr);
     outcome.metrics.add("sweep.cells.total", plan.cells.size());
     outcome.metrics.add("sweep.cells.executed",
                         outcome.records.size());

@@ -3,9 +3,10 @@
  * Sweep execution: run an expanded SweepPlan on the SimJob engine.
  *
  * runSweep() materializes the plan's generated traces, expands every
- * cell into a SimJob, and executes the resulting SimPlan on a
- * ThreadPool — each distinct (trace, block size, sharing) input is
- * decoded once and shared read-only by all cells that replay it.
+ * cell into a SimJob, and executes the resulting SimPlan through
+ * runPlan() (sim/job.hh) — each distinct (trace, block size, sharing)
+ * input is decoded once and shared read-only by all cells that
+ * replay it.
  * With a CellCache wired in, finished cells persist as they complete,
  * so an interrupted sweep resumes incrementally: re-running the same
  * spec replays the finished cells from the cache and only simulates
@@ -13,8 +14,9 @@
  *
  * The outcome carries one CellRecord per executed cell — with the
  * cell's unique sweep label as its trace name, so multi-axis cells
- * never collide — plus the run manifest and a MetricRegistry using
- * the established runner.grid.* / runner.cache.* names.
+ * never collide — plus the run manifest and a MetricRegistry with
+ * the same runner.grid.* / runner.cache.* metrics a grid records
+ * (obs/artifacts.hh addRunMetrics()).
  */
 
 #ifndef DIRSIM_SWEEP_RUN_HH
@@ -29,7 +31,6 @@
 #include "obs/record.hh"
 #include "obs/sink.hh"
 #include "sim/job.hh"
-#include "sim/runner.hh"
 #include "sweep/expand.hh"
 
 namespace dirsim
@@ -38,8 +39,8 @@ namespace dirsim
 /** runSweep() knobs. */
 struct SweepOptions
 {
-    /** Worker threads; 0 = RunnerConfig::defaultJobs(), 1 =
-     *  sequential on the calling thread (deterministic cell order). */
+    /** Worker threads; 0 = defaultJobs(), 1 = sequential on the
+     *  calling thread (deterministic cell order). */
     unsigned jobs = 0;
 
     /** Cell result cache; nullptr = always simulate. */
@@ -59,8 +60,8 @@ struct SweepOptions
      *  it reads true, no further cells are dispatched. */
     const std::atomic<bool> *cancel = nullptr;
 
-    /** Per-finished-cell hook (sim/runner.hh semantics: serialized,
-     *  completion order). */
+    /** Per-finished-cell hook (sim/job.hh semantics: serialized,
+     *  completion order); the cell's traceName is its sweep label. */
     ProgressCallback onProgress;
 
     /**

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "obs/artifacts.hh"
+#include "test_util.hh"
 #include "trace/writer.hh"
 #include "tracegen/generator.hh"
 
@@ -26,15 +28,23 @@ smallTraces()
 
 const std::vector<std::string> kSchemes{"Dir0B", "WTI"};
 
+/** runWithArtifacts() of kSchemes over @p inputs into @p sink. */
+GridResult
+runToSink(const std::vector<TraceRef> &inputs, ResultsSink &sink,
+          const ExtraMetricsFn &extra = {})
+{
+    return runWithArtifacts(parseSchemes(kSchemes), inputs, SimConfig{},
+                            JobOptions::fromEnvironment(), {}, sink,
+                            extra);
+}
+
 /** Run the small grid through a JSONL sink, return the text. */
 std::string
 runToJsonl()
 {
     std::ostringstream os;
     JsonlSink sink(os);
-    const ExperimentRunner runner;
-    runWithArtifacts(runner, kSchemes, smallTraces(), SimConfig{},
-                     sink);
+    runToSink(TraceRef::of(smallTraces()), sink);
     return os.str();
 }
 
@@ -42,9 +52,7 @@ TEST(RunWithArtifactsTest, ArtifactsRoundTripThroughJsonl)
 {
     std::ostringstream os;
     JsonlSink sink(os);
-    const ExperimentRunner runner;
-    const GridResult grid = runWithArtifacts(
-        runner, kSchemes, smallTraces(), SimConfig{}, sink);
+    const GridResult grid = runToSink(TraceRef::of(smallTraces()), sink);
 
     std::istringstream in(os.str());
     const RunArtifacts loaded = loadArtifacts(in);
@@ -91,9 +99,7 @@ TEST(RunFilesWithArtifactsTest, ManifestCarriesFileProvenance)
 
     std::ostringstream os;
     JsonlSink sink(os);
-    const ExperimentRunner runner;
-    const GridResult grid = runFilesWithArtifacts(
-        runner, kSchemes, paths, SimConfig{}, sink);
+    const GridResult grid = runToSink(TraceRef::files(paths), sink);
     EXPECT_GT(grid.setupPhases.get(Phase::Read), 0u);
 
     std::istringstream in(os.str());
@@ -169,8 +175,8 @@ TEST(DiffArtifactsTest, DetectsMissingCell)
 
 TEST(GridMetricsTest, NamesFollowTheDocumentedScheme)
 {
-    const ExperimentRunner runner;
-    const GridResult grid = runner.run(kSchemes, smallTraces());
+    const GridResult grid = runGrid(parseSchemes(kSchemes),
+                                    TraceRef::of(smallTraces()));
     const MetricRegistry metrics = gridMetrics(grid);
 
     EXPECT_GT(metrics.counter("sim.pops.Dir0B.refs"), 0u);
@@ -182,6 +188,8 @@ TEST(GridMetricsTest, NamesFollowTheDocumentedScheme)
     EXPECT_DOUBLE_EQ(metrics.gauge("runner.grid.cells"), 4.0);
     EXPECT_DOUBLE_EQ(metrics.gauge("runner.grid.jobs"),
                      static_cast<double>(grid.jobs));
+    EXPECT_DOUBLE_EQ(metrics.gauge("runner.grid.hardware_threads"),
+                     static_cast<double>(ThreadPool::hardwareThreads()));
     EXPECT_GT(metrics.gauge("runner.grid.refs_per_second"), 0.0);
 }
 
@@ -192,11 +200,8 @@ TEST(GridMetricsTest, DottedTraceNamesAreEscapedIntoOneSegment)
     // collide with genuinely nested names.
     Trace trace = generateTrace("pops", 15'000, 3);
     trace.setName("app.bin");
-    RunnerConfig sequential;
-    sequential.jobs = 1;
-    const ExperimentRunner runner(sequential);
     const GridResult grid =
-        runner.run(kSchemes, std::vector<Trace>{trace});
+        test::gridOnJobs(1, kSchemes, {TraceRef::of(trace)});
     const MetricRegistry metrics = gridMetrics(grid);
 
     EXPECT_GT(metrics.counter("sim.app_bin.Dir0B.refs"), 0u);
@@ -207,11 +212,10 @@ TEST(RunWithArtifactsTest, ExtraMetricsLandInTheMetricsRecord)
 {
     std::ostringstream os;
     JsonlSink sink(os);
-    const ExperimentRunner runner;
-    runWithArtifacts(runner, kSchemes, smallTraces(), SimConfig{},
-                     sink, [](MetricRegistry &metrics) {
-                         metrics.add("trace.dist.test.samples", 41);
-                     });
+    runToSink(TraceRef::of(smallTraces()), sink,
+              [](MetricRegistry &metrics) {
+                  metrics.add("trace.dist.test.samples", 41);
+              });
     std::istringstream in(os.str());
     const RunArtifacts artifacts = loadArtifacts(in);
     ASSERT_TRUE(artifacts.hasMetrics);

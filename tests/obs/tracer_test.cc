@@ -12,7 +12,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "sim/suite.hh"
 #include "test_util.hh"
@@ -228,22 +228,20 @@ TEST(EventTracerTest, ParallelRunnerMergesOneTimelinePerCell)
     const std::vector<Trace> traces = standardSuite(params);
     const std::vector<std::string> schemes{"Dir1NB", "Dir0B"};
 
-    RunnerConfig sequential;
-    sequential.jobs = 1;
     const GridResult plain =
-        ExperimentRunner(sequential).run(schemes, traces);
+        test::gridOnJobs(1, schemes, TraceRef::of(traces));
 
     TracerConfig tracer_config;
     tracer_config.samplePeriod = 3;
     EventTracer tracer(tracer_config);
-    RunnerConfig config;
-    config.jobs = 2;
-    config.makeCellTraceSink = [&](const std::string &scheme,
-                                   const std::string &trace) {
+    RunOptions run;
+    run.jobs = 2;
+    run.makeCellTraceSink = [&](const std::string &scheme,
+                                const std::string &trace) {
         return tracer.session(scheme, trace);
     };
-    const GridResult traced =
-        ExperimentRunner(config).run(schemes, traces);
+    const GridResult traced = runGrid(
+        parseSchemes(schemes), TraceRef::of(traces), {}, {}, run);
 
     // Tracing under the parallel runner stays bit-identical.
     for (std::size_t s = 0; s < schemes.size(); ++s) {
@@ -276,14 +274,14 @@ TEST(ChromeTraceTest, GridExportsOneLanePerWorker)
     TracerConfig tracer_config;
     tracer_config.samplePeriod = 50;
     EventTracer tracer(tracer_config);
-    RunnerConfig config;
-    config.jobs = 2;
-    config.makeCellTraceSink = [&](const std::string &scheme,
-                                   const std::string &trace) {
+    RunOptions run;
+    run.jobs = 2;
+    run.makeCellTraceSink = [&](const std::string &scheme,
+                                const std::string &trace) {
         return tracer.session(scheme, trace);
     };
-    const GridResult grid =
-        ExperimentRunner(config).run(schemes, traces);
+    const GridResult grid = runGrid(
+        parseSchemes(schemes), TraceRef::of(traces), {}, {}, run);
 
     std::ostringstream out;
     writeChromeTrace(out, grid, &tracer);

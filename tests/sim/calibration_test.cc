@@ -11,6 +11,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 #include "trace/filter.hh"
 
 namespace dirsim
@@ -30,9 +31,9 @@ class CalibrationTest : public ::testing::Test
         params.seed = 88;
         traces = new std::vector<Trace>(standardSuite(params));
         grid = new std::vector<SchemeResults>(
-            runGrid({"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB",
-                     "Berkeley"},
-                    *traces));
+            test::schemeGrid({"Dir1NB", "WTI", "Dir0B", "Dragon",
+                              "DirNNB", "Berkeley"},
+                             *traces));
     }
 
     static void
@@ -172,7 +173,8 @@ TEST_F(CalibrationTest, Section52SpinLockImpact)
     std::vector<Trace> filtered;
     for (const auto &trace : *traces)
         filtered.push_back(excludeLockRefs(trace));
-    const auto filtered_grid = runGrid({"Dir1NB", "Dir0B"}, filtered);
+    const auto filtered_grid =
+        test::schemeGrid({"Dir1NB", "Dir0B"}, filtered);
 
     const double dir1nb_before = pipelinedTotal("Dir1NB");
     const double dir1nb_after =

@@ -20,8 +20,9 @@
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 #include "sim/decoded.hh"
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 #include "trace/writer.hh"
 
 namespace dirsim
@@ -207,10 +208,8 @@ TEST(DecodedTraceTest, RunnerGridsMatchLegacyAcrossJobCounts)
     const auto &schemes = paperSchemes();
 
     for (const unsigned jobs : {1u, 4u}) {
-        RunnerConfig config;
-        config.jobs = jobs;
         const GridResult grid =
-            ExperimentRunner(config).run(schemes, traces);
+            test::gridOnJobs(jobs, schemes, TraceRef::of(traces));
         // Every cell equals the single-cell entry point's result.
         ASSERT_EQ(grid.schemes.size(), schemes.size());
         for (std::size_t s = 0; s < schemes.size(); ++s)
@@ -236,16 +235,12 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
     }
     const auto &schemes = paperSchemes();
 
-    RunnerConfig sequential;
-    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(sequential).run(schemes, traces);
+        test::gridOnJobs(1, schemes, TraceRef::of(traces));
 
     for (const unsigned jobs : {1u, 4u}) {
-        RunnerConfig config;
-        config.jobs = jobs;
         const GridResult grid =
-            ExperimentRunner(config).runFiles(schemes, paths);
+            test::gridOnJobs(jobs, schemes, TraceRef::files(paths));
         expectIdenticalGrids(grid, reference);
     }
 

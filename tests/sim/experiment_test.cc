@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
@@ -24,7 +25,7 @@ smallSuite()
 TEST(ExperimentTest, GridCoversSchemesAndTraces)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B", "Dragon"}, traces);
+    const auto grid = test::schemeGrid({"Dir0B", "Dragon"}, traces);
     ASSERT_EQ(grid.size(), 2u);
     EXPECT_EQ(grid[0].scheme, "Dir0B");
     EXPECT_EQ(grid[0].perTrace.size(), 3u);
@@ -35,14 +36,14 @@ TEST(ExperimentTest, GridCoversSchemesAndTraces)
 TEST(ExperimentTest, GridRejectsEmptyInputs)
 {
     const auto traces = smallSuite();
-    EXPECT_THROW(runGrid({}, traces), UsageError);
-    EXPECT_THROW(runGrid({"Dir0B"}, {}), UsageError);
+    EXPECT_THROW(runGrid({}, TraceRef::of(traces)), UsageError);
+    EXPECT_THROW(runGrid({parseScheme("Dir0B")}, {}), UsageError);
 }
 
 TEST(ExperimentTest, AveragedFreqsIsMeanOfPerTrace)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B"}, traces);
+    const auto grid = test::schemeGrid({"Dir0B"}, traces);
     const EventFreqs avg = grid[0].averagedFreqs();
     double manual = 0.0;
     for (const auto &result : grid[0].perTrace)
@@ -54,7 +55,7 @@ TEST(ExperimentTest, AveragedFreqsIsMeanOfPerTrace)
 TEST(ExperimentTest, MergedHistogramSumsSamples)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B"}, traces);
+    const auto grid = test::schemeGrid({"Dir0B"}, traces);
     std::uint64_t total = 0;
     for (const auto &result : grid[0].perTrace)
         total += result.cleanWriteHolders.samples();
@@ -64,7 +65,7 @@ TEST(ExperimentTest, MergedHistogramSumsSamples)
 TEST(ExperimentTest, MergedOpsAndRefs)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"WTI"}, traces);
+    const auto grid = test::schemeGrid({"WTI"}, traces);
     std::uint64_t refs = 0;
     std::uint64_t wt = 0;
     for (const auto &result : grid[0].perTrace) {
@@ -78,7 +79,7 @@ TEST(ExperimentTest, MergedOpsAndRefs)
 TEST(ExperimentTest, AveragedCostIsMeanOfPerTraceCosts)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dragon"}, traces);
+    const auto grid = test::schemeGrid({"Dragon"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     const CycleBreakdown avg = grid[0].averagedCost(costs);
     double manual = 0.0;
@@ -91,7 +92,7 @@ TEST(ExperimentTest, AveragedCostIsMeanOfPerTraceCosts)
 TEST(ExperimentTest, PaperCostAgreesWithOpsCost)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B", "Dragon"}, traces);
+    const auto grid = test::schemeGrid({"Dir0B", "Dragon"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     for (const auto &scheme : grid) {
         const double paper_path = scheme.paperCost(costs).total();
@@ -104,7 +105,7 @@ TEST(ExperimentTest, PaperCostAgreesWithOpsCost)
 TEST(ExperimentTest, PaperCostFallsBackForParameterizedSchemes)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir2B"}, traces);
+    const auto grid = test::schemeGrid({"Dir2B"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     EXPECT_NEAR(grid[0].paperCost(costs).total(),
                 grid[0].averagedCost(costs).total(), 1e-12);

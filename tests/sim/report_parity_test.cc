@@ -57,10 +57,10 @@ state()
 
         std::ostringstream os;
         JsonlSink sink(os);
-        const ExperimentRunner runner;
         ParityFixtureState built;
-        built.grid = runFilesWithArtifacts(runner, paperSchemes(),
-                                           paths, SimConfig{}, sink);
+        built.grid = runWithArtifacts(
+            parseSchemes(paperSchemes()), TraceRef::files(paths),
+            SimConfig{}, JobOptions::fromEnvironment(), {}, sink);
         for (const auto &path : paths)
             std::remove(path.c_str());
 

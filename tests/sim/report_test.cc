@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "sim/report.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -20,8 +21,8 @@ smallGrid()
         SuiteParams params;
         params.refsPerTrace = 30'000;
         params.seed = 21;
-        return runGrid({"Dir0B", "Dragon", "WTI"},
-                       standardSuite(params));
+        return test::schemeGrid({"Dir0B", "Dragon", "WTI"},
+                                standardSuite(params));
     }();
     return grid;
 }

@@ -1,15 +1,27 @@
-/** @file Unit tests for sim/runner.hh (the parallel grid engine). */
+/** @file Unit tests for runGrid() (sim/experiment.hh) and the
+ *  runPlan() executor under it (sim/job.hh). */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
+#include <set>
+#include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
-#include "sim/runner.hh"
+#include "common/thread_pool.hh"
+#include "obs/artifacts.hh"
+#include "obs/cell_cache.hh"
+#include "sim/experiment.hh"
 #include "sim/suite.hh"
+#include "sweep/run.hh"
+#include "test_util.hh"
+#include "trace/writer.hh"
 
 namespace dirsim
 {
@@ -39,11 +51,24 @@ expectIdentical(const SimResult &a, const SimResult &b)
         << a.scheme << "/" << a.traceName;
 }
 
+/** A grid of named schemes over in-memory traces on @p jobs workers. */
+GridResult
+grid(const std::vector<std::string> &schemes,
+     const std::vector<Trace> &traces, unsigned jobs,
+     ProgressCallback on_progress = {}, const SimConfig &sim = {})
+{
+    RunOptions run;
+    run.jobs = jobs;
+    run.onProgress = std::move(on_progress);
+    return runGrid(parseSchemes(schemes), TraceRef::of(traces), sim,
+                   JobOptions{}, run);
+}
+
 TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
 {
     const auto traces = smallSuite();
 
-    // The sequential reference: plain per-cell simulation, no runner.
+    // The sequential reference: plain per-cell simulation, no grid.
     std::vector<std::vector<SimResult>> reference;
     for (const auto &name : paperSchemes()) {
         std::vector<SimResult> row;
@@ -53,37 +78,16 @@ TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
     }
 
     for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
-        RunnerConfig config;
-        config.jobs = jobs;
-        const ExperimentRunner runner(config);
-        const GridResult grid = runner.run(paperSchemes(), traces);
-        EXPECT_EQ(grid.jobs, jobs);
-        ASSERT_EQ(grid.schemes.size(), paperSchemes().size());
-        for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-            EXPECT_EQ(grid.schemes[s].scheme, paperSchemes()[s]);
-            ASSERT_EQ(grid.schemes[s].perTrace.size(), traces.size());
+        const GridResult result = grid(paperSchemes(), traces, jobs);
+        EXPECT_EQ(result.jobs, jobs);
+        ASSERT_EQ(result.schemes.size(), paperSchemes().size());
+        for (std::size_t s = 0; s < result.schemes.size(); ++s) {
+            EXPECT_EQ(result.schemes[s].scheme, paperSchemes()[s]);
+            ASSERT_EQ(result.schemes[s].perTrace.size(), traces.size());
             for (std::size_t t = 0; t < traces.size(); ++t) {
-                expectIdentical(grid.schemes[s].perTrace[t],
+                expectIdentical(result.schemes[s].perTrace[t],
                                 reference[s][t]);
             }
-        }
-    }
-}
-
-TEST(RunnerTest, RunGridWrapperMatchesRunner)
-{
-    const auto traces = smallSuite();
-    const auto wrapped = runGrid({"Dir0B", "WTI"}, traces);
-    RunnerConfig config;
-    config.jobs = 2;
-    const GridResult direct =
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
-    ASSERT_EQ(wrapped.size(), direct.schemes.size());
-    for (std::size_t s = 0; s < wrapped.size(); ++s) {
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-            expectIdentical(wrapped[s].perTrace[t],
-                            direct.schemes[s].perTrace[t]);
         }
     }
 }
@@ -91,26 +95,22 @@ TEST(RunnerTest, RunGridWrapperMatchesRunner)
 TEST(RunnerTest, CellTimingsCoverTheGridInOrder)
 {
     const auto traces = smallSuite();
-    RunnerConfig config;
-    config.jobs = 2;
-    const GridResult grid =
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "Dragon"}, traces);
-    ASSERT_EQ(grid.cells.size(), 2 * traces.size());
+    const GridResult result = grid({"Dir0B", "Dragon"}, traces, 2);
+    ASSERT_EQ(result.cells.size(), 2 * traces.size());
     for (std::size_t s = 0; s < 2; ++s) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
-            const CellTiming &cell = grid.cells[s * traces.size() + t];
+            const CellTiming &cell = result.cells[s * traces.size() + t];
             EXPECT_EQ(cell.scheme, s == 0 ? "Dir0B" : "Dragon");
             EXPECT_EQ(cell.traceName, traces[t].name());
             EXPECT_EQ(cell.refs, traces[t].size());
             EXPECT_GE(cell.wallSeconds, 0.0);
         }
     }
-    EXPECT_EQ(grid.totalRefs(),
+    EXPECT_EQ(result.totalRefs(),
               2 * (traces[0].size() + traces[1].size()
                    + traces[2].size()));
-    EXPECT_GT(grid.wallSeconds, 0.0);
-    EXPECT_GT(grid.refsPerSecond(), 0.0);
+    EXPECT_GT(result.wallSeconds, 0.0);
+    EXPECT_GT(result.refsPerSecond(), 0.0);
 }
 
 TEST(RunnerTest, ProgressCallbackFiresOncePerCell)
@@ -118,9 +118,7 @@ TEST(RunnerTest, ProgressCallbackFiresOncePerCell)
     const auto traces = smallSuite();
     std::atomic<std::size_t> calls{0};
     std::atomic<std::size_t> max_completed{0};
-    RunnerConfig config;
-    config.jobs = 3;
-    config.onCellComplete = [&](const GridProgress &progress) {
+    grid({"Dir0B", "WTI"}, traces, 3, [&](const GridProgress &progress) {
         calls.fetch_add(1);
         EXPECT_EQ(progress.totalCells, 2 * traces.size());
         EXPECT_GE(progress.completedCells, 1u);
@@ -128,9 +126,7 @@ TEST(RunnerTest, ProgressCallbackFiresOncePerCell)
         EXPECT_FALSE(progress.cell.scheme.empty());
         max_completed.store(
             std::max(max_completed.load(), progress.completedCells));
-    };
-    ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
+    });
     EXPECT_EQ(calls.load(), 2 * traces.size());
     EXPECT_EQ(max_completed.load(), 2 * traces.size());
 }
@@ -149,9 +145,7 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
     std::uint64_t last_completed_refs = 0;
     std::size_t calls = 0;
     bool final_seen = false;
-    RunnerConfig config;
-    config.jobs = 2;
-    config.onCellComplete = [&](const GridProgress &progress) {
+    grid({"Dir0B", "WTI"}, traces, 2, [&](const GridProgress &progress) {
         std::lock_guard<std::mutex> lock(mutex);
         ++calls;
         EXPECT_EQ(progress.plannedRefs, planned);
@@ -173,9 +167,7 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
         } else if (progress.refsPerSecond() > 0.0) {
             EXPECT_GT(progress.etaSeconds(), 0.0);
         }
-    };
-    ExperimentRunner(config).run(
-        std::vector<std::string>{"Dir0B", "WTI"}, traces);
+    });
     EXPECT_EQ(calls, 2 * traces.size());
     EXPECT_TRUE(final_seen);
 }
@@ -183,15 +175,12 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
 TEST(RunnerTest, CellTimingsCarryTimelineCoordinates)
 {
     const auto traces = smallSuite();
-    RunnerConfig config;
-    config.jobs = 1;
-    const GridResult grid = ExperimentRunner(config).run(
-        std::vector<std::string>{"Dir0B"}, traces);
-    EXPECT_GT(grid.startNs, 0u);
-    for (const CellTiming &cell : grid.cells) {
-        EXPECT_GE(cell.startNs, grid.startNs);
+    const GridResult result = grid({"Dir0B"}, traces, 1);
+    EXPECT_GT(result.startNs, 0u);
+    for (const CellTiming &cell : result.cells) {
+        EXPECT_GE(cell.startNs, result.startNs);
         // Sequential run: every cell on the calling thread's lane.
-        EXPECT_EQ(cell.threadTag, grid.cells[0].threadTag);
+        EXPECT_EQ(cell.threadTag, result.cells[0].threadTag);
     }
 }
 
@@ -200,58 +189,37 @@ TEST(RunnerTest, CellErrorsPropagateFromWorkers)
     const auto traces = smallSuite();
     SimConfig sim;
     sim.warmupRefs = traces[0].size() + 1; // consumes every trace
-    RunnerConfig config;
-    config.jobs = 2;
-    const ExperimentRunner runner(config);
-    EXPECT_THROW(runner.run(std::vector<std::string>{"Dir0B", "WTI"},
-                            traces, sim),
+    EXPECT_THROW(grid({"Dir0B", "WTI"}, traces, 2, {}, sim),
                  UsageError);
 }
 
 TEST(RunnerTest, EmptyInputsRejected)
 {
     const auto traces = smallSuite();
-    const ExperimentRunner runner;
-    EXPECT_THROW(runner.run(std::vector<SchemeSpec>{}, traces),
-                 UsageError);
-    EXPECT_THROW(runner.run({parseScheme("Dir0B")}, {}), UsageError);
-}
-
-TEST(RunnerTest, SpecOverloadMatchesNameOverload)
-{
-    const auto traces = smallSuite();
-    RunnerConfig config;
-    config.jobs = 2;
-    const ExperimentRunner runner(config);
-    const GridResult by_spec =
-        runner.run({parseScheme("Dir2B")}, traces);
-    const GridResult by_name =
-        runner.run(std::vector<std::string>{"Dir2B"}, traces);
-    EXPECT_EQ(by_spec.schemes[0].scheme, "Dir2B");
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        expectIdentical(by_spec.schemes[0].perTrace[t],
-                        by_name.schemes[0].perTrace[t]);
-    }
+    EXPECT_THROW(runGrid({}, TraceRef::of(traces)), UsageError);
+    EXPECT_THROW(runGrid({parseScheme("Dir0B")}, {}), UsageError);
 }
 
 TEST(RunnerTest, JobsResolveFromEnvironment)
 {
     unsetenv("DIRSIM_JOBS");
-    EXPECT_EQ(RunnerConfig::fromEnvironment().jobs, 0u);
-    EXPECT_GE(RunnerConfig::defaultJobs(), 1u);
+    EXPECT_EQ(RunOptions{}.jobs, 0u);
+    EXPECT_EQ(defaultJobs(), ThreadPool::hardwareThreads());
 
     setenv("DIRSIM_JOBS", "3", 1);
-    EXPECT_EQ(RunnerConfig::fromEnvironment().jobs, 3u);
-    EXPECT_EQ(RunnerConfig::defaultJobs(), 3u);
-    EXPECT_EQ(ExperimentRunner().resolvedJobs(), 3u);
+    EXPECT_EQ(defaultJobs(), 3u);
+    EXPECT_EQ(RunOptions{}.resolvedJobs(), 3u);
+    const auto traces = smallSuite();
+    EXPECT_EQ(runGrid({parseScheme("Dir0B")}, TraceRef::of(traces)).jobs,
+              3u);
 
     setenv("DIRSIM_JOBS", "nope", 1);
-    EXPECT_THROW(RunnerConfig::fromEnvironment(), UsageError);
+    EXPECT_THROW(defaultJobs(), UsageError);
     unsetenv("DIRSIM_JOBS");
 
-    RunnerConfig fixed;
+    RunOptions fixed;
     fixed.jobs = 5;
-    EXPECT_EQ(ExperimentRunner(fixed).resolvedJobs(), 5u);
+    EXPECT_EQ(fixed.resolvedJobs(), 5u);
 }
 
 TEST(RunnerTest, SimConfigFromEnvironment)
@@ -277,6 +245,89 @@ TEST(RunnerTest, SimConfigFromEnvironment)
     unsetenv("DIRSIM_BLOCK_BYTES");
     unsetenv("DIRSIM_WARMUP_REFS");
     unsetenv("DIRSIM_SHARING");
+}
+
+/** Names of the runner.grid.* and runner.cache.* metrics. */
+std::set<std::string>
+runMetricNames(const MetricRegistry &metrics)
+{
+    std::set<std::string> names;
+    for (const auto &[name, metric] : metrics)
+        if (name.rfind("runner.grid.", 0) == 0
+            || name.rfind("runner.cache.", 0) == 0)
+            names.insert(name);
+    return names;
+}
+
+TEST(ExecutorParityTest, GridAndSweepAgreeOnTraceFiles)
+{
+    // The same scheme x trace-file cells through runGrid() and through
+    // runSweep() on a spec over the same files: one executor, so the
+    // results and the run-level metric names must agree.
+    const auto traces = smallSuite();
+    const std::string dir = testing::TempDir() + "/executor_parity_"
+        + std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    std::vector<std::string> paths;
+    std::string spec = R"({"name":"parity","schemes":["Dir0B","WTI"],)"
+                       R"("traces":[)";
+    for (const Trace &trace : traces) {
+        paths.push_back(dir + "/" + trace.name() + ".trace");
+        writeBinaryTraceFile(trace, paths.back());
+        spec += std::string(paths.size() > 1 ? "," : "")
+            + R"({"file":")" + paths.back() + R"("})";
+    }
+    spec += "]}";
+    const SweepPlan plan = expandSweep(parseSweepSpec(spec));
+    ASSERT_EQ(plan.cells.size(), 2 * traces.size());
+
+    for (const unsigned jobs : {1u, 4u}) {
+        JobOptions options;
+        options.cache = std::make_shared<FileCellCache>(
+            dir + "/grid_cache_" + std::to_string(jobs));
+        const GridResult grid =
+            test::gridOnJobs(jobs, {"Dir0B", "WTI"},
+                             TraceRef::files(paths), {}, options);
+
+        SweepOptions sweep_options;
+        sweep_options.jobs = jobs;
+        sweep_options.cache = std::make_shared<FileCellCache>(
+            dir + "/sweep_cache_" + std::to_string(jobs));
+        const SweepOutcome sweep = runSweep(plan, sweep_options);
+        ASSERT_TRUE(sweep.completed);
+
+        for (std::size_t i = 0; i < sweep.records.size(); ++i) {
+            const SweepCell &cell = plan.cells[sweep.cellIndices[i]];
+            const std::size_t s = cell.scheme.name() == "Dir0B" ? 0 : 1;
+            const SimResult &live =
+                grid.schemes[s].perTrace[cell.traceIndex];
+            const CellRecord &record = sweep.records[i];
+            EXPECT_EQ(record.scheme, live.scheme);
+            EXPECT_EQ(record.numCaches, live.numCaches);
+            EXPECT_EQ(record.totalRefs, live.totalRefs);
+            EXPECT_TRUE(record.events == live.events) << cell.label;
+            EXPECT_TRUE(record.ops == live.ops) << cell.label;
+            EXPECT_TRUE(record.cleanWriteHolders
+                        == live.cleanWriteHolders)
+                << cell.label;
+        }
+
+        const MetricRegistry grid_metrics = gridMetrics(grid);
+        EXPECT_EQ(runMetricNames(grid_metrics),
+                  runMetricNames(sweep.metrics));
+        for (const char *name :
+             {"runner.grid.jobs", "runner.grid.cells",
+              "runner.grid.hardware_threads"})
+            EXPECT_EQ(grid_metrics.gauge(name), sweep.metrics.gauge(name))
+                << name;
+        for (const char *name :
+             {"runner.cache.hits", "runner.cache.misses",
+              "runner.grid.simulated_refs"})
+            EXPECT_EQ(grid_metrics.counter(name),
+                      sweep.metrics.counter(name))
+                << name;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -15,7 +15,7 @@
 
 #include "common/logging.hh"
 #include "obs/tracer.hh"
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 #include "sim/scaling.hh"
 #include "sim/simulator.hh"
 #include "tracegen/generator.hh"
@@ -207,16 +207,16 @@ TEST(ScalingSmokeTest, SmallNGridRunsCleanWithInvariantsOn)
     sim.invariantCheckPeriod = 500;
 
     EventTracer tracer(TracerConfig{256, 128});
-    RunnerConfig config;
-    config.jobs = 2;
-    config.makeCellTraceSink =
+    RunOptions run;
+    run.jobs = 2;
+    run.makeCellTraceSink =
         [&tracer](const std::string &scheme,
                   const std::string &trace_name) {
             return tracer.session(scheme, trace_name);
         };
-    const ExperimentRunner runner(std::move(config));
     const GridResult grid =
-        runner.run(scalingSchemes(), {trace}, sim);
+        runGrid(scalingSchemes(), {TraceRef::of(trace)}, sim,
+                JobOptions::fromEnvironment(), run);
 
     ASSERT_EQ(grid.schemes.size(), scalingSchemes().size());
     for (const SchemeResults &scheme : grid.schemes) {

@@ -17,9 +17,10 @@
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 #include "sim/decoded.hh"
+#include "sim/experiment.hh"
 #include "sim/job.hh"
-#include "sim/runner.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 
 namespace dirsim
 {
@@ -199,18 +200,15 @@ TEST(ShardTest, RunnerGridsWithShardsMatchLegacyAcrossJobCounts)
     const auto traces = smallSuite();
     const auto &schemes = paperSchemes();
 
-    RunnerConfig sequential;
-    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(sequential).run(schemes, traces);
+        test::gridOnJobs(1, schemes, TraceRef::of(traces));
 
     for (const unsigned jobs : {1u, 4u}) {
         for (const unsigned shards : {2u, 7u}) {
-            RunnerConfig config;
-            config.jobs = jobs;
-            config.shards.shards = shards;
-            const GridResult grid =
-                ExperimentRunner(config).run(schemes, traces);
+            JobOptions options;
+            options.shards.shards = shards;
+            const GridResult grid = test::gridOnJobs(
+                jobs, schemes, TraceRef::of(traces), {}, options);
             ASSERT_EQ(grid.schemes.size(), reference.schemes.size());
             for (std::size_t s = 0; s < grid.schemes.size(); ++s)
                 for (std::size_t t = 0;
@@ -235,8 +233,8 @@ TEST(ShardTest, RunJobMatchesLegacyEntryPoints)
     const CellOutcome memory =
         runJob({TraceRef::of(trace), scheme, {}}, options);
     expectIdentical(memory.result, reference);
-    EXPECT_FALSE(memory.cacheHit);
-    EXPECT_EQ(memory.records, trace.size());
+    EXPECT_FALSE(memory.timing.cacheHit);
+    EXPECT_EQ(memory.timing.refs, trace.size());
 
     // Decoded job with sharding.
     const DecodedTrace decoded = decodeTrace(
@@ -246,7 +244,7 @@ TEST(ShardTest, RunJobMatchesLegacyEntryPoints)
     const CellOutcome via_decoded =
         runJob({TraceRef::of(decoded), scheme, {}}, sharded);
     expectIdentical(via_decoded.result, reference);
-    EXPECT_EQ(via_decoded.shardsUsed, 4u);
+    EXPECT_EQ(via_decoded.timing.shards, 4u);
 
     // A batch over every paper scheme, parallel workers, job order.
     std::vector<SimJob> jobs;

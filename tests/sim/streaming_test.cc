@@ -1,7 +1,7 @@
 /**
  * @file
  * File-vs-in-memory simulation equality: simulateTraceFile() and
- * ExperimentRunner::runFiles(), which decode each file in one
+ * runGrid() over TraceRef::file inputs, which decode each file in one
  * streaming read, must produce bit-identical SimResults to the
  * in-memory path for every paper scheme on every standard-suite
  * trace, over both container formats.
@@ -16,8 +16,9 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 #include "trace/writer.hh"
 
 namespace dirsim
@@ -122,16 +123,12 @@ TEST(StreamingSimTest, RunFilesMatchesRunAcrossJobCounts)
     const auto paths = writeSuiteFiles(traces);
     const auto &schemes = paperSchemes();
 
-    RunnerConfig sequential;
-    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(sequential).run(schemes, traces);
+        test::gridOnJobs(1, schemes, TraceRef::of(traces));
 
     for (const unsigned jobs : {1u, 4u}) {
-        RunnerConfig config;
-        config.jobs = jobs;
         const GridResult grid =
-            ExperimentRunner(config).runFiles(schemes, paths);
+            test::gridOnJobs(jobs, schemes, TraceRef::files(paths));
         ASSERT_EQ(grid.schemes.size(), reference.schemes.size());
         for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
             EXPECT_EQ(grid.schemes[s].scheme,
@@ -163,11 +160,8 @@ TEST(StreamingSimTest, MissingOrCorruptFilesFailCleanly)
         os << "0 1 read zzz -\n";
     }
     EXPECT_THROW(simulateTraceFile(path, "Dir0B"), UsageError);
-    EXPECT_THROW(
-        ExperimentRunner().runFiles(
-            std::vector<std::string>{"Dir0B"},
-            std::vector<std::string>{path}),
-        UsageError);
+    EXPECT_THROW(runGrid({parseScheme("Dir0B")}, {TraceRef::file(path)}),
+                 UsageError);
 }
 
 } // namespace

@@ -170,6 +170,19 @@ TEST(RunSweepTest, ArtifactsRoundTripThroughJsonl)
     EXPECT_TRUE(loaded.metrics.has("runner.grid.cells"));
 }
 
+TEST(RunSweepTest, CellErrorsPropagateFromWorkers)
+{
+    // A warm-up that consumes the whole trace fails inside a worker
+    // cell; the error must reach the caller, not vanish with the pool.
+    const SweepPlan plan = expandSweep(parseSweepSpec(
+        R"({"name":"warm","schemes":["Dir0B","WTI"],)"
+        R"("traces":[{"profile":"pops","refs":20000,"seed":5}],)"
+        R"("warmup_refs":1000000})"));
+    SweepOptions options;
+    options.jobs = 2;
+    EXPECT_THROW(runSweep(plan, options), UsageError);
+}
+
 TEST(RunSweepTest, ShardAxisIsBitIdentical)
 {
     // Sharding is a throughput knob: the same cell at any shard

@@ -7,9 +7,13 @@
 #define DIRSIM_TESTS_TEST_UTIL_HH
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "protocols/protocol.hh"
+#include "protocols/registry.hh"
+#include "sim/experiment.hh"
 #include "trace/trace.hh"
 
 namespace dirsim::test
@@ -44,6 +48,27 @@ reserved(std::unique_ptr<CoherenceProtocol> protocol)
 {
     protocol->reserveBlocks(testBlocks);
     return protocol;
+}
+
+/** Per-scheme results of runGrid() over named schemes and in-memory
+ *  traces, with the default options. */
+inline std::vector<SchemeResults>
+schemeGrid(const std::vector<std::string> &schemes,
+           const std::vector<Trace> &traces)
+{
+    return runGrid(parseSchemes(schemes), TraceRef::of(traces)).schemes;
+}
+
+/** runGrid() of named schemes on @p jobs workers, with one shard and
+ *  no cell cache unless @p options says otherwise. */
+inline GridResult
+gridOnJobs(unsigned jobs, const std::vector<std::string> &schemes,
+           const std::vector<TraceRef> &inputs,
+           const SimConfig &sim = {}, const JobOptions &options = {})
+{
+    RunOptions run;
+    run.jobs = jobs;
+    return runGrid(parseSchemes(schemes), inputs, sim, options, run);
 }
 
 /** Build a record tersely. */
