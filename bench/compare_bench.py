@@ -19,8 +19,10 @@ are printed for context but never fail the run, because absolute wall
 times on shared CI hosts are too noisy to gate on. Files holding
 several grids (a bench that runs more than one experiment) are
 compared grid-by-grid in file order. A grid pair whose
-`runner.grid.jobs` or `runner.grid.hardware_threads` differ measured
-different quantities, so it is refused (exit 2) rather than compared.
+`runner.grid.jobs`, `runner.grid.hardware_threads` or
+`runner.build.optimized` (an optimized vs. an unoptimized build)
+differ measured different quantities, so it is refused (exit 2)
+rather than compared.
 A gauge only one record of the pair carries (an older baseline) does
 not refuse the pair.
 """
@@ -38,7 +40,8 @@ def fail_usage(message):
 # Higher-is-better gauges that gate the exit code.
 THROUGHPUT_GAUGES = ("runner.grid.refs_per_second",)
 # Must be equal in both records of a pair for the pair to compare.
-LIKE_FOR_LIKE_GAUGES = ("runner.grid.jobs", "runner.grid.hardware_threads")
+LIKE_FOR_LIKE_GAUGES = ("runner.grid.jobs", "runner.grid.hardware_threads",
+                        "runner.build.optimized")
 # Context-only metrics, printed when present in both files.
 CONTEXT_GAUGES = ("runner.grid.wall_seconds",)
 

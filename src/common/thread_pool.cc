@@ -1,5 +1,7 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace dirsim
@@ -94,6 +96,35 @@ ThreadPool::workerLoop()
                 allDone.notify_all();
         }
     }
+}
+
+void
+runIndexed(std::size_t count, unsigned workers,
+           const std::function<void(std::size_t)> &task)
+{
+    if (workers <= 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            task(i);
+        return;
+    }
+    std::vector<std::exception_ptr> errors(count);
+    {
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(workers, count)));
+        for (std::size_t i = 0; i < count; ++i) {
+            pool.submit([&task, &errors, i] {
+                try {
+                    task(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            });
+        }
+        pool.wait();
+    }
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
 }
 
 } // namespace dirsim

@@ -1,8 +1,9 @@
 /**
  * @file
- * A small fixed-size worker pool with a FIFO task queue, the
- * concurrency substrate of the cell executor (sim/job.hh runPlan())
- * and of sharded cells.
+ * A small fixed-size worker pool with a FIFO task queue, and
+ * runIndexed(), the one batch dispatcher built on it: the cell
+ * executor (sim/job.hh runPlan()), the plan's decode pass, sharded
+ * cells and the manifest checksums all run through runIndexed().
  *
  * Tasks are plain std::function<void()> closures. An exception
  * escaping a task does not kill the worker: the first one is captured
@@ -80,6 +81,17 @@ class ThreadPool
     std::exception_ptr firstError;
     bool stopping = false;
 };
+
+/**
+ * Run @p task(i) for every i in [0, @p count). With @p workers <= 1
+ * or @p count <= 1 the tasks run inline on the calling thread in
+ * index order and the first failure propagates at once; otherwise
+ * they run on a pool of min(@p workers, @p count) threads, every task
+ * finishes, and the failure of the *lowest index* is rethrown — so
+ * which error a batch reports never depends on timing.
+ */
+void runIndexed(std::size_t count, unsigned workers,
+                const std::function<void(std::size_t)> &task);
 
 } // namespace dirsim
 

@@ -27,6 +27,12 @@ runWithArtifacts(const std::vector<SchemeSpec> &schemes,
 
     // Provenance from the grid's own first-scheme cells; trace files
     // add a whole-file checksum (trace-format-v2 FNV-1a).
+    std::vector<std::string> files;
+    for (const TraceRef &input : inputs)
+        files.push_back(input.kind == TraceRef::Kind::File ? input.path
+                                                           : std::string());
+    const std::vector<std::uint64_t> checksums =
+        fileChecksumsFnv64(files, grid.jobs);
     for (std::size_t t = 0; t < inputs.size(); ++t) {
         const SimResult &first = grid.schemes[0].perTrace[t];
         TraceProvenance trace;
@@ -37,7 +43,7 @@ runWithArtifacts(const std::vector<SchemeSpec> &schemes,
         if (inputs[t].kind == TraceRef::Kind::File) {
             trace.path = inputs[t].path;
             trace.source = "file";
-            trace.checksum = fileChecksumFnv64(trace.path);
+            trace.checksum = checksums[t];
             trace.hasChecksum = true;
         }
         manifest.traces.push_back(std::move(trace));
@@ -111,8 +117,9 @@ loadArtifacts(const std::string &path)
 
 void
 addRunMetrics(MetricRegistry &metrics,
-              const std::vector<CellTiming> &cells, double wallSeconds,
-              unsigned jobs, bool cacheEnabled)
+              const std::vector<CellTiming> &cells,
+              const PlanTiming &plan, double wallSeconds, unsigned jobs,
+              bool cacheEnabled)
 {
     std::uint64_t covered_refs = 0;
     std::uint64_t hits = 0;
@@ -134,6 +141,13 @@ addRunMetrics(MetricRegistry &metrics,
     metrics.set("runner.grid.hardware_threads",
                 ThreadPool::hardwareThreads());
     metrics.set("runner.grid.cells", static_cast<double>(cells.size()));
+    metrics.set("runner.plan.decode_seconds", plan.decodeSeconds());
+    metrics.set("runner.plan.wall_seconds", plan.wallSeconds);
+#ifdef __OPTIMIZE__
+    metrics.set("runner.build.optimized", 1.0);
+#else
+    metrics.set("runner.build.optimized", 0.0);
+#endif
     if (cacheEnabled) {
         metrics.add("runner.cache.hits", hits);
         metrics.add("runner.cache.misses", cells.size() - hits);
@@ -176,8 +190,8 @@ gridMetrics(const GridResult &grid)
             }
         }
     }
-    addRunMetrics(metrics, grid.cells, grid.wallSeconds, grid.jobs,
-                  grid.cacheEnabled);
+    addRunMetrics(metrics, grid.cells, grid.plan, grid.wallSeconds,
+                  grid.jobs, grid.cacheEnabled);
     return metrics;
 }
 

@@ -39,8 +39,9 @@ using ExtraMetricsFn = std::function<void(MetricRegistry &)>;
  * runGrid() (sim/experiment.hh), then write the run's artifacts to
  * @p sink: a manifest with per-input provenance (name, record and
  * cache counts; trace files also carry their path and whole-file
- * FNV-1a checksum, in-memory inputs are recorded with source
- * "memory"), one record per cell in grid order, and a
+ * FNV-1a checksum, computed on the grid's workers; in-memory inputs
+ * are recorded with source "memory"), one record per cell in grid
+ * order, and a
  * MetricRegistry snapshot.
  */
 GridResult runWithArtifacts(const std::vector<SchemeSpec> &schemes,
@@ -76,17 +77,19 @@ RunArtifacts loadArtifacts(const std::string &path);
 
 /**
  * Record the run-level metrics every grid and sweep carries, from its
- * cell timings:
+ * cell timings and its planning pass:
  *   runner.cell.wall_ms                                     timer
  *   runner.grid.{wall_seconds,refs_per_second,jobs,
  *                hardware_threads,cells}                    gauges
+ *   runner.plan.{decode_seconds,wall_seconds}               gauges
+ *   runner.build.optimized   1 for an optimized build, else 0 (gauge)
  *   runner.cache.{hits,misses}, runner.grid.simulated_refs  counters
  *                                      (only with a cell cache)
  */
 void addRunMetrics(MetricRegistry &metrics,
                    const std::vector<CellTiming> &cells,
-                   double wallSeconds, unsigned jobs,
-                   bool cacheEnabled);
+                   const PlanTiming &plan, double wallSeconds,
+                   unsigned jobs, bool cacheEnabled);
 
 /**
  * Build the unified metric view of a finished grid: addRunMetrics()

@@ -25,32 +25,6 @@ usSince(std::uint64_t ns, std::uint64_t origin_ns)
     return static_cast<double>(ns - origin_ns) / 1e3;
 }
 
-/**
- * Map worker-thread tags to small stable lane ids, in order of each
- * worker's first cell start — lane 1 is the worker that started
- * first, giving deterministic lane layout for a sequential run.
- */
-std::map<std::uint64_t, unsigned>
-laneMap(const GridResult &grid)
-{
-    std::vector<const CellTiming *> cells;
-    cells.reserve(grid.cells.size());
-    for (const CellTiming &cell : grid.cells)
-        cells.push_back(&cell);
-    std::sort(cells.begin(), cells.end(),
-              [](const CellTiming *a, const CellTiming *b) {
-                  return a->startNs < b->startNs;
-              });
-    std::map<std::uint64_t, unsigned> lanes;
-    for (const CellTiming *cell : cells) {
-        if (!lanes.contains(cell->threadTag)) {
-            const auto lane = static_cast<unsigned>(lanes.size() + 1);
-            lanes.emplace(cell->threadTag, lane);
-        }
-    }
-    return lanes;
-}
-
 /** One complete ("X") slice. */
 void
 writeSlice(JsonWriter &writer, const std::string &name,
@@ -121,7 +95,16 @@ void
 writeChromeTrace(std::ostream &os, const GridResult &grid,
                  const EventTracer *tracer)
 {
-    const std::map<std::uint64_t, unsigned> lanes = laneMap(grid);
+    const std::map<std::uint64_t, unsigned> lanes =
+        workerLanes(grid.cells);
+    const std::map<std::uint64_t, unsigned> decode_lanes =
+        workerLanes(grid.plan.decodes);
+    // The planning pass runs before the cells; when it was recorded,
+    // the timeline starts with it.
+    const std::uint64_t origin =
+        grid.plan.startNs != 0 && grid.plan.startNs < grid.startNs
+        ? grid.plan.startNs
+        : grid.startNs;
 
     // Cell identity -> lane, for placing tracer timelines.
     std::map<std::string, unsigned> cell_lanes;
@@ -134,12 +117,31 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
     writer.key("traceEvents").beginArray();
 
     writeThreadName(writer, 0, "grid");
-    for (const auto &[tag, lane] : lanes)
+    const std::size_t worker_lanes =
+        std::max(lanes.size(), decode_lanes.size());
+    for (unsigned lane = 1; lane <= worker_lanes; ++lane)
         writeThreadName(writer, lane,
                         "worker " + std::to_string(lane));
 
-    // The grid itself, on its own lane.
-    writeSlice(writer, "grid", "grid", 0, 0.0,
+    // The planning pass and the grid itself, on their own lane.
+    if (grid.plan.startNs != 0) {
+        writeSlice(writer, "plan", "plan", 0,
+                   usSince(grid.plan.startNs, origin),
+                   grid.plan.wallSeconds * 1e6);
+        writer.endObject();
+    }
+    for (const DecodeTiming &decode : grid.plan.decodes) {
+        writeSlice(writer, "decode", "decode",
+                   decode_lanes.at(decode.threadTag),
+                   usSince(decode.startNs, origin),
+                   static_cast<double>(decode.durationNs) / 1e3);
+        writer.key("args").beginObject();
+        writer.key("trace").value(decode.traceName);
+        writer.key("block_bytes").value(decode.blockBytes);
+        writer.endObject();
+        writer.endObject();
+    }
+    writeSlice(writer, "grid", "grid", 0, usSince(grid.startNs, origin),
                grid.wallSeconds * 1e6);
     writer.key("args").beginObject();
     writer.key("jobs").value(grid.jobs);
@@ -158,8 +160,7 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
             const std::string name =
                 cell.scheme + "/" + cell.traceName;
             cell_lanes.emplace(name, lane);
-            const double cell_ts =
-                usSince(cell.startNs, grid.startNs);
+            const double cell_ts = usSince(cell.startNs, origin);
 
             writeSlice(writer, name, "cell", lane, cell_ts,
                        cell.wallSeconds * 1e6);
@@ -203,8 +204,7 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
                 writer.key("s").value("t");
                 writer.key("pid").value(1u);
                 writer.key("tid").value(lane);
-                writer.key("ts").value(
-                    usSince(event.tsNs, grid.startNs));
+                writer.key("ts").value(usSince(event.tsNs, origin));
                 writer.key("args").beginObject();
                 writer.key("cell").value(cell_name);
                 writer.key("ref").value(event.ref);

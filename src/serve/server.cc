@@ -794,7 +794,8 @@ SweepServer::handleTrace(std::uint64_t id)
                   "not recorded");
 
     // Lane 0: the run's own lifecycle. Workers get lanes 1..N in
-    // order of first cell start; HTTP requests share the last lane.
+    // order of first start, once for the planning pass's decodes and
+    // once for the cells; HTTP requests share the last lane.
     std::vector<TraceSpan> spans;
     const std::uint64_t started_mark =
         entry.startedNs != 0 ? entry.startedNs : now;
@@ -827,35 +828,39 @@ SweepServer::handleTrace(std::uint64_t id)
         spans.push_back(std::move(run));
     }
 
-    std::vector<const CellTiming *> cells;
-    cells.reserve(entry.timings.size());
-    for (const CellTiming &cell : entry.timings)
-        cells.push_back(&cell);
-    std::sort(cells.begin(), cells.end(),
-              [](const CellTiming *a, const CellTiming *b) {
-                  return a->startNs < b->startNs;
-              });
-    std::map<std::uint64_t, unsigned> lanes;
-    for (const CellTiming *cell : cells)
-        if (!lanes.contains(cell->threadTag))
-            lanes.emplace(cell->threadTag,
-                          static_cast<unsigned>(lanes.size() + 1));
-    for (const CellTiming *cell : cells) {
+    const std::map<std::uint64_t, unsigned> decode_lanes =
+        workerLanes(entry.decodes);
+    for (const DecodeTiming &decode : entry.decodes) {
         TraceSpan span;
-        span.name = cell->scheme + "/" + cell->traceName;
+        span.name = "decode";
+        span.category = "decode";
+        span.lane = decode_lanes.at(decode.threadTag);
+        span.startNs = decode.startNs;
+        span.durationNs = decode.durationNs;
+        span.args.emplace_back("trace", decode.traceName);
+        span.args.emplace_back("block_bytes",
+                               std::to_string(decode.blockBytes));
+        spans.push_back(std::move(span));
+    }
+    const std::map<std::uint64_t, unsigned> lanes =
+        workerLanes(entry.timings);
+    for (const CellTiming &cell : entry.timings) {
+        TraceSpan span;
+        span.name = cell.scheme + "/" + cell.traceName;
         span.category = "cell";
-        span.lane = lanes.at(cell->threadTag);
-        span.startNs = cell->startNs;
+        span.lane = lanes.at(cell.threadTag);
+        span.startNs = cell.startNs;
         span.durationNs = static_cast<std::uint64_t>(
-            cell->wallSeconds * 1e9);
-        span.args.emplace_back("refs", std::to_string(cell->refs));
+            cell.wallSeconds * 1e9);
+        span.args.emplace_back("refs", std::to_string(cell.refs));
         span.args.emplace_back("cache_hit",
-                               cell->cacheHit ? "true" : "false");
+                               cell.cacheHit ? "true" : "false");
         spans.push_back(std::move(span));
     }
 
-    const unsigned http_lane =
-        static_cast<unsigned>(lanes.size() + 1);
+    const unsigned worker_lanes = static_cast<unsigned>(
+        std::max(lanes.size(), decode_lanes.size()));
+    const unsigned http_lane = worker_lanes + 1;
     for (const TraceSpan &request : httpSpans) {
         // Keep requests overlapping the run's window; the submitting
         // POST itself starts a hair before submittedNs is stamped,
@@ -871,7 +876,7 @@ SweepServer::handleTrace(std::uint64_t id)
 
     std::vector<std::string> lane_names;
     lane_names.push_back("run");
-    for (unsigned lane = 1; lane <= lanes.size(); ++lane)
+    for (unsigned lane = 1; lane <= worker_lanes; ++lane)
         lane_names.push_back("worker " + std::to_string(lane));
     lane_names.push_back("http");
 
@@ -1143,6 +1148,7 @@ SweepServer::executeRun(RunEntry &entry)
         entry.state = final_state;
         entry.error = error;
         entry.artifacts = std::move(artifacts);
+        entry.decodes = std::move(outcome.plan.decodes);
         entry.timings = std::move(outcome.timings);
         entry.finishedNs = PhaseTimer::nowNs();
 

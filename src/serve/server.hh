@@ -159,8 +159,9 @@ class SweepServer
         std::uint64_t startedNs = 0;
         std::uint64_t finishedNs = 0;
 
-        /** Wall-clock layout of the executed cells, for
-         *  GET /runs/{id}/trace. */
+        /** Wall-clock layout of the planning pass's stream decodes
+         *  and of the executed cells, for GET /runs/{id}/trace. */
+        std::vector<DecodeTiming> decodes;
         std::vector<CellTiming> timings;
 
         /** True when this entry was reconstructed from the journal

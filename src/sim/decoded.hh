@@ -115,7 +115,8 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
 /**
  * Decode a trace file in a single streaming read — this both sizes
  * the coherence domain and captures the records, so simulateTraceFile
- * and runGrid() over TraceRef::file inputs touch the file exactly once.
+ * touches the file exactly once, and runGrid() over TraceRef::file
+ * inputs once per decoded (block size, sharing) stream.
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,

@@ -127,18 +127,18 @@ runGrid(const std::vector<SchemeSpec> &schemes,
         for (const TraceRef &input : inputs)
             jobs.push_back({input, scheme, sim});
 
-    // Planning (decode + checksum each distinct input once) is grid
-    // setup, charged as Read time; it makes plannedRefs exact by
-    // construction.
-    const std::uint64_t plan_start = PhaseTimer::nowNs();
-    const SimPlan plan = buildPlan(jobs, options);
-    const std::uint64_t plan_ns = PhaseTimer::nowNs() - plan_start;
+    // Planning (decode + checksum each distinct input once, on the
+    // grid's workers) is grid setup recorded in GridResult::plan; it
+    // makes plannedRefs exact by construction.
+    RunOptions resolved = run;
+    resolved.jobs = run.resolvedJobs();
+    const SimPlan plan = buildPlan(jobs, options, resolved.jobs);
     logEvent(LogLevel::Debug, "runner.grid.start")
         .field("schemes", static_cast<std::uint64_t>(schemes.size()))
         .field("traces", static_cast<std::uint64_t>(inputs.size()))
         .field("planned_refs", plan.plannedRefs());
 
-    PlanRun ran = runPlan(plan, run);
+    PlanRun ran = runPlan(plan, resolved);
     GridResult grid;
     grid.schemes.resize(schemes.size());
     for (std::size_t s = 0; s < schemes.size(); ++s)
@@ -152,7 +152,7 @@ runGrid(const std::vector<SchemeSpec> &schemes,
     grid.wallSeconds = ran.wallSeconds;
     grid.startNs = ran.startNs;
     grid.jobs = ran.jobs;
-    grid.setupPhases.add(Phase::Read, plan_ns);
+    grid.plan = plan.timing;
     grid.cacheEnabled = options.cache != nullptr;
     logEvent(LogLevel::Debug, "runner.grid.finished")
         .field("cells", static_cast<std::uint64_t>(grid.cells.size()))

@@ -5,8 +5,9 @@
  * across traces, cost models applied afterwards).
  *
  * runGrid() expands the grid into scheme-major SimJobs, plans them
- * once (each distinct trace decoded and checksummed once) and hands
- * the plan to runPlan() (sim/job.hh), the one cell executor. Results
+ * once (each distinct trace decoded and checksummed once, on the
+ * grid's workers) and hands the plan to runPlan() (sim/job.hh), the
+ * one cell executor. Results
  * do not depend on the worker count: each cell builds its own
  * protocol and replays a shared immutable stream, and the output
  * order is fixed by the input order.
@@ -77,11 +78,11 @@ struct GridResult
     /** Worker threads the grid was given (RunOptions resolved). */
     unsigned jobs = 1;
     /**
-     * Grid-level work outside any cell: planning (decoding and
-     * checksumming each input) lands here as Read time. Per-cell
-     * phase splits live in each SimResult::phases.
+     * Grid-level work outside any cell: the planning pass (decoding
+     * and checksumming each stream), per stream and in total.
+     * Per-cell phase splits live in each SimResult::phases.
      */
-    PhaseBreakdown setupPhases;
+    PlanTiming plan;
     /** True when the grid ran with a cell cache configured. */
     bool cacheEnabled = false;
 
@@ -103,7 +104,8 @@ struct GridResult
  *
  * @param schemes scheme specs (protocols/registry.hh parseSchemes())
  * @param inputs in-memory traces, decoded streams or trace files
- *        (TraceRef); each is read and decoded exactly once
+ *        (TraceRef); each is decoded once per (block size, sharing)
+ *        stream, on the run's workers
  * @param sim simulation parameters applied to every cell
  * @param options sharding and the cell cache
  * @param run workers, progress and tracing (RunOptions)

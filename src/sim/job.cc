@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -143,26 +144,56 @@ traceChecksumFnv64(const Trace &trace)
     return fnv.value();
 }
 
+namespace
+{
+
+/**
+ * Fold @p size bytes into @p state in 8-byte host-order words (a
+ * trailing partial word is zero-padded): the FNV-1a xor-multiply step
+ * plus a high-to-low fold. A multiply only carries differences
+ * upward, so without the fold a change confined to a word's top byte
+ * would stay in the hash's top byte.
+ */
+void
+foldWords(std::uint64_t &state, const void *data, std::size_t size)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; i += sizeof(std::uint64_t)) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes + i,
+                    std::min(sizeof(word), size - i));
+        state ^= word;
+        state *= 0x100000001b3ull;
+        state ^= state >> 32;
+    }
+}
+
+template <typename T>
+void
+foldArray(std::uint64_t &state, const std::vector<T> &array)
+{
+    foldWords(state, array.data(), array.size() * sizeof(T));
+}
+
+} // namespace
+
 std::uint64_t
 traceChecksumFnv64(const DecodedTrace &decoded)
 {
     traceformat::Fnv64 fnv;
     fnv.update(decoded.name.data(), decoded.name.size());
-    const std::uint64_t shape[5] = {
+    std::uint64_t state = fnv.value();
+    const std::uint64_t shape[7] = {
         decoded.blockBytes,
         decoded.sharing == SharingModel::ByProcess ? 0u : 1u,
-        decoded.cachesNeeded, decoded.cachesUsed, decoded.dataRefs};
-    fnv.update(shape, sizeof(shape));
-    fnv.update(decoded.ops.data(),
-               decoded.ops.size() * sizeof(decoded.ops[0]));
-    fnv.update(decoded.blocks.data(),
-               decoded.blocks.size() * sizeof(decoded.blocks[0]));
-    fnv.update(decoded.caches.data(),
-               decoded.caches.size() * sizeof(decoded.caches[0]));
-    fnv.update(decoded.denseToBlock.data(),
-               decoded.denseToBlock.size()
-                   * sizeof(decoded.denseToBlock[0]));
-    return fnv.value();
+        decoded.cachesNeeded, decoded.cachesUsed, decoded.dataRefs,
+        decoded.numRecords(), decoded.blockCount()};
+    foldWords(state, shape, sizeof(shape));
+    foldArray(state, decoded.ops);
+    foldArray(state, decoded.blocks);
+    foldArray(state, decoded.caches);
+    foldArray(state, decoded.denseToBlock);
+    return state;
 }
 
 std::uint64_t
@@ -179,6 +210,20 @@ fileChecksumFnv64(const std::string &path)
     }
     fatalIf(in.bad(), "I/O error while checksumming '", path, "'");
     return fnv.value();
+}
+
+std::vector<std::uint64_t>
+fileChecksumsFnv64(const std::vector<std::string> &paths, unsigned workers)
+{
+    std::vector<std::size_t> files;
+    for (std::size_t i = 0; i < paths.size(); ++i)
+        if (!paths[i].empty())
+            files.push_back(i);
+    std::vector<std::uint64_t> checksums(paths.size());
+    runIndexed(files.size(), workers, [&](std::size_t i) {
+        checksums[files[i]] = fileChecksumFnv64(paths[files[i]]);
+    });
+    return checksums;
 }
 
 std::uint64_t
@@ -223,95 +268,151 @@ SimPlan::plannedRefs() const
     return refs;
 }
 
+double
+PlanTiming::decodeSeconds() const
+{
+    std::uint64_t ns = 0;
+    for (const DecodeTiming &decode : decodes)
+        ns += decode.durationNs;
+    return static_cast<double>(ns) / 1e9;
+}
+
+namespace
+{
+
+/** The identity of the stream a job replays: its source plus, unless
+ *  the caller decoded it already, the decode geometry. */
+std::string
+streamKey(const SimJob &job)
+{
+    const TraceRef &ref = job.trace;
+    std::ostringstream key;
+    switch (ref.kind) {
+      case TraceRef::Kind::Memory:
+        fatalIf(ref.memory == nullptr, "SimJob references a null Trace");
+        key << "mem:" << static_cast<const void *>(ref.memory);
+        break;
+      case TraceRef::Kind::Decoded:
+        fatalIf(ref.decoded == nullptr,
+                "SimJob references a null DecodedTrace");
+        key << "dec:" << static_cast<const void *>(ref.decoded);
+        return key.str();
+      case TraceRef::Kind::File:
+        fatalIf(ref.path.empty(),
+                "SimJob references an empty trace path");
+        key << "file:" << ref.path;
+        break;
+    }
+    key << "|" << job.config.blockBytes << "|"
+        << toString(job.config.sharing);
+    return key.str();
+}
+
+/** One distinct stream of a plan: decoded (unless caller-owned) and,
+ *  when a cacheable cell replays it, checksummed by one task. */
+struct StreamTask
+{
+    const SimJob *first = nullptr; ///< the first job replaying it
+    bool checksum = false;
+    std::unique_ptr<DecodedTrace> owned;
+    const DecodedTrace *stream = nullptr;
+    std::uint64_t checksumValue = 0;
+    DecodeTiming timing;
+
+    void
+    run()
+    {
+        timing.startNs = PhaseTimer::nowNs();
+        timing.threadTag = currentThreadTag();
+        const TraceRef &ref = first->trace;
+        const SimConfig &config = first->config;
+        if (ref.kind == TraceRef::Kind::Decoded) {
+            stream = ref.decoded;
+        } else {
+            owned = std::make_unique<DecodedTrace>(
+                ref.kind == TraceRef::Kind::Memory
+                    ? decodeTrace(*ref.memory, config.blockBytes,
+                                  config.sharing)
+                    : decodeTraceFile(ref.path, config.blockBytes,
+                                      config.sharing));
+            stream = owned.get();
+        }
+        // The stream checksum is canonical across file and in-memory
+        // inputs (decoding is deterministic).
+        if (checksum)
+            checksumValue = traceChecksumFnv64(*stream);
+        timing.traceName = stream->name;
+        timing.blockBytes = stream->blockBytes;
+        timing.durationNs = PhaseTimer::nowNs() - timing.startNs;
+    }
+};
+
+} // namespace
+
 SimPlan
-buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
+buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options,
+          unsigned workers)
 {
     SimPlan plan;
     plan.cache = options.cache;
-    plan.cells.reserve(jobs.size());
+    plan.timing.startNs = PhaseTimer::nowNs();
 
-    // Decode and checksum each distinct (source, geometry) once; the
-    // cells share the immutable stream read-only.
-    std::map<std::string, const DecodedTrace *> streams;
-    std::map<std::string, std::uint64_t> checksums;
+    // A raw single sink cannot be split across shard workers and
+    // cannot be replayed from the cache; such cells run sequentially
+    // and uncached.
+    const auto cacheable = [&](const SimJob &job) {
+        return options.cache && job.config.traceSink == nullptr;
+    };
 
+    // One task per distinct stream, in order of first use.
+    std::vector<StreamTask> tasks;
+    std::vector<std::size_t> task_of;
+    task_of.reserve(jobs.size());
+    std::map<std::string, std::size_t> task_index;
     for (const SimJob &job : jobs) {
+        const auto [it, added] =
+            task_index.try_emplace(streamKey(job), tasks.size());
+        if (added)
+            tasks.emplace_back().first = &job;
+        tasks[it->second].checksum |= cacheable(job);
+        task_of.push_back(it->second);
+    }
+
+    runIndexed(tasks.size(), workers,
+               [&tasks](std::size_t i) { tasks[i].run(); });
+
+    plan.cells.reserve(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const SimJob &job = jobs[j];
+        const StreamTask &task = tasks[task_of[j]];
         PlannedCell cell;
         cell.scheme = job.scheme;
         cell.config = job.config;
-
-        const TraceRef &ref = job.trace;
-        std::ostringstream source_key;
-        switch (ref.kind) {
-          case TraceRef::Kind::Memory:
-            source_key << "mem:" << static_cast<const void *>(ref.memory);
-            fatalIf(ref.memory == nullptr,
-                    "SimJob references a null Trace");
-            break;
-          case TraceRef::Kind::Decoded:
-            source_key << "dec:"
-                       << static_cast<const void *>(ref.decoded);
-            fatalIf(ref.decoded == nullptr,
-                    "SimJob references a null DecodedTrace");
-            break;
-          case TraceRef::Kind::File:
-            source_key << "file:" << ref.path;
-            fatalIf(ref.path.empty(),
-                    "SimJob references an empty trace path");
-            break;
-        }
-        const std::string source = source_key.str();
-
-        if (ref.kind == TraceRef::Kind::Decoded) {
-            cell.stream = ref.decoded;
-        } else {
-            const std::string stream_key = source + "|"
-                + std::to_string(job.config.blockBytes) + "|"
-                + toString(job.config.sharing);
-            auto it = streams.find(stream_key);
-            if (it == streams.end()) {
-                auto stream = std::make_unique<DecodedTrace>(
-                    ref.kind == TraceRef::Kind::Memory
-                        ? decodeTrace(*ref.memory, job.config.blockBytes,
-                                      job.config.sharing)
-                        : decodeTraceFile(ref.path,
-                                          job.config.blockBytes,
-                                          job.config.sharing));
-                it = streams.emplace(stream_key, stream.get()).first;
-                plan.streams.push_back(std::move(stream));
-            }
-            cell.stream = it->second;
-        }
-
+        cell.stream = task.stream;
         cell.traceName = cell.stream->name;
         cell.records = cell.stream->numRecords();
-
-        // A raw single sink cannot be split across shard workers and
-        // cannot be replayed from the cache; such cells run
-        // sequentially and uncached.
-        const bool raw_sink = job.config.traceSink != nullptr;
-        cell.shards = raw_sink
+        cell.shards = job.config.traceSink != nullptr
             ? 1
             : options.shards.resolve(cell.stream->dataRefs,
                                      cell.stream->blockCount(),
                                      job.config.finiteCache.has_value());
-
-        if (options.cache && !raw_sink) {
-            // The stream checksum is canonical across file and
-            // in-memory inputs (decoding is deterministic).
-            auto it = checksums.find(source);
-            if (it == checksums.end()) {
-                it = checksums
-                         .emplace(source,
-                                  traceChecksumFnv64(*cell.stream))
-                         .first;
-            }
-            cell.cacheKey = cellCacheKey(it->second, job.scheme,
-                                         job.config);
+        if (cacheable(job)) {
+            cell.cacheKey =
+                cellCacheKey(task.checksumValue, job.scheme, job.config);
             cell.cacheable = true;
         }
         plan.cells.push_back(std::move(cell));
     }
+    for (StreamTask &task : tasks) {
+        // A caller-decoded stream nobody checksums cost nothing.
+        if (task.owned || task.checksum)
+            plan.timing.decodes.push_back(std::move(task.timing));
+        if (task.owned)
+            plan.streams.push_back(std::move(task.owned));
+    }
+    plan.timing.wallSeconds =
+        static_cast<double>(PhaseTimer::nowNs() - plan.timing.startNs)
+        / 1e9;
     return plan;
 }
 
@@ -471,16 +572,10 @@ simulateTraceSharded(const DecodedTrace &decoded,
 
     std::vector<ShardPart> parts(k);
     const std::uint64_t parallel_start = PhaseTimer::nowNs();
-    {
-        ThreadPool pool(std::min(k, ThreadPool::hardwareThreads()));
-        for (unsigned shard = 0; shard < k; ++shard) {
-            pool.submit([&, shard] {
-                parts[shard] = runShard(decoded, scheme, config,
-                                        shard_of, shard, make_sink);
-            });
-        }
-        pool.wait();
-    }
+    runIndexed(k, ThreadPool::hardwareThreads(), [&](std::size_t shard) {
+        parts[shard] = runShard(decoded, scheme, config, shard_of,
+                                static_cast<unsigned>(shard), make_sink);
+    });
     const std::uint64_t parallel_ns =
         PhaseTimer::nowNs() - parallel_start;
 
@@ -641,16 +736,7 @@ runPlan(const SimPlan &plan, const RunOptions &options)
         run.cells[index] = std::move(outcome);
     };
 
-    if (run.jobs == 1 || num_cells <= 1) {
-        for (std::size_t i = 0; i < num_cells; ++i)
-            dispatch(i);
-    } else {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(run.jobs, num_cells)));
-        for (std::size_t i = 0; i < num_cells; ++i)
-            pool.submit([&dispatch, i] { dispatch(i); });
-        pool.wait();
-    }
+    runIndexed(num_cells, run.jobs, dispatch);
     run.wallSeconds = secondsSince(start);
     return run;
 }
@@ -670,7 +756,8 @@ runJobs(const std::vector<SimJob> &jobs, const JobOptions &options,
 {
     RunOptions run;
     run.jobs = workers;
-    PlanRun ran = runPlan(buildPlan(jobs, options), run);
+    run.jobs = run.resolvedJobs();
+    PlanRun ran = runPlan(buildPlan(jobs, options, run.jobs), run);
     std::vector<CellOutcome> outcomes;
     outcomes.reserve(ran.cells.size());
     for (auto &cell : ran.cells)

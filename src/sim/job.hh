@@ -8,11 +8,12 @@
  * expanded by buildPlan() into a SimPlan of executable cells, which
  * runPlan() dispatches. buildPlan() decodes every distinct input once
  * (sim/decoded.hh) and every cell replays the shared decoded stream.
- * runPlan() is the only code that submits cells to a worker pool:
- * runJob()/runJobs(), runGrid() (sim/experiment.hh), runSweep()
- * (sweep/run.hh) and the scheme-building simulateTrace() overloads
- * all call it, so they stay bit-identical to each other by
- * construction.
+ * runPlan() is the only code that runs cells: runJob()/runJobs(),
+ * runGrid() (sim/experiment.hh), runSweep() (sweep/run.hh) and the
+ * scheme-building simulateTrace() overloads all call it, so they stay
+ * bit-identical to each other by construction. Both passes — the
+ * decodes and the cells — go through runIndexed()
+ * (common/thread_pool.hh) at the run's worker count.
  *
  * The engine adds two capabilities through JobOptions:
  *
@@ -140,14 +141,19 @@ class CellCache
  * cache key. Bump on any change that alters what a (trace, scheme,
  * config) triple produces, so stale entries miss instead of lying.
  */
-inline constexpr std::uint32_t engineSchemaVersion = 1;
+inline constexpr std::uint32_t engineSchemaVersion = 2;
 
 /** FNV-1a 64 over a trace's name, shape, and every record. */
 std::uint64_t traceChecksumFnv64(const Trace &trace);
 
-/** FNV-1a 64 over a decoded stream's name, geometry, and arrays.
- *  Decoding is deterministic, so a file and the in-memory trace read
- *  from it produce the same decoded checksum. */
+/**
+ * 64-bit checksum of a decoded stream's name, geometry, and arrays:
+ * FNV-1a over the name bytes, then the FNV xor-multiply step over the
+ * shape and the arrays in 8-byte host-order words (with a
+ * high-to-low fold per word), an eighth of the bytewise multiplies.
+ * Decoding is deterministic, so a file and the in-memory trace read
+ * from it produce the same decoded checksum.
+ */
 std::uint64_t traceChecksumFnv64(const DecodedTrace &decoded);
 
 /**
@@ -155,6 +161,13 @@ std::uint64_t traceChecksumFnv64(const DecodedTrace &decoded);
  * used by RunManifest provenance).
  */
 std::uint64_t fileChecksumFnv64(const std::string &path);
+
+/**
+ * fileChecksumFnv64() of every non-empty path (0 for an empty one),
+ * one task per file through runIndexed() on @p workers threads.
+ */
+std::vector<std::uint64_t> fileChecksumsFnv64(
+    const std::vector<std::string> &paths, unsigned workers);
 
 /** The content-addressed key of one (trace, scheme, config) cell. */
 std::uint64_t cellCacheKey(std::uint64_t trace_checksum,
@@ -202,13 +215,46 @@ struct PlannedCell
     bool cacheable = false;
 };
 
+/**
+ * One buildPlan() stream task — a decode plus its checksum, or only
+ * the checksum of a caller-decoded stream — laid out like a cell
+ * (CellTiming) so a timeline can put it on a worker lane.
+ */
+struct DecodeTiming
+{
+    /** The stream's workload name and block size. */
+    std::string traceName;
+    unsigned blockBytes = 0;
+    /** Task start on the PhaseTimer::nowNs() clock, its length, and
+     *  an opaque tag of the thread that ran it. */
+    std::uint64_t startNs = 0;
+    std::uint64_t durationNs = 0;
+    std::uint64_t threadTag = 0;
+};
+
+/** Where buildPlan()'s time went. */
+struct PlanTiming
+{
+    /** One entry per stream task, in plan order. */
+    std::vector<DecodeTiming> decodes;
+    /** buildPlan() start on the PhaseTimer::nowNs() clock. */
+    std::uint64_t startNs = 0;
+    /** buildPlan() wall time, decodes included. */
+    double wallSeconds = 0.0;
+
+    /** Sum of the stream tasks' durations (work, not wall time). */
+    double decodeSeconds() const;
+};
+
 /** A fully-resolved execution plan: cells plus shared streams. */
 struct SimPlan
 {
     std::vector<PlannedCell> cells;
-    /** Streams decoded by buildPlan(), shared across its cells. */
+    /** Streams decoded by buildPlan(), shared across its cells, in
+     *  order of first use. */
     std::vector<std::unique_ptr<DecodedTrace>> streams;
     std::shared_ptr<CellCache> cache;
+    PlanTiming timing;
 
     /** Sum of every cell's known record count. */
     std::uint64_t plannedRefs() const;
@@ -368,12 +414,24 @@ struct PlanRun
 };
 
 /**
- * Expand jobs into an executable plan: decode each distinct trace
- * once (shared by every cell that references it), resolve shard
- * counts, and compute cache keys. Pure planning — no simulation.
+ * Expand jobs into an executable plan: decode each distinct (trace,
+ * block size, sharing) stream once (shared by every cell that
+ * references it), resolve shard counts, and compute cache keys. Pure
+ * planning — no simulation.
+ *
+ * Each distinct stream is one task that decodes it and, with a cell
+ * cache, checksums it for the cells' keys. The tasks run through
+ * runIndexed() on @p workers threads: 1 (or a single stream) decodes
+ * on the calling thread in plan order. The plan does not depend on
+ * @p workers, and a failing decode reports the error of the first
+ * failing stream in plan order.
+ *
+ * @throws UsageError on null/empty trace references and unreadable
+ *         or malformed inputs
  */
 SimPlan buildPlan(const std::vector<SimJob> &jobs,
-                  const JobOptions &options = JobOptions::fromEnvironment());
+                  const JobOptions &options = JobOptions::fromEnvironment(),
+                  unsigned workers = 1);
 
 /**
  * Execute a plan: per cell, a cache lookup, sharded or sequential
@@ -388,7 +446,8 @@ SimPlan buildPlan(const std::vector<SimJob> &jobs,
  * lookup (a replayed result cannot feed a tracer) but still stores.
  *
  * @throws whatever a cell threw (UsageError for unrunnable cells);
- *         with a pool, after the remaining cells finish
+ *         with a pool, the lowest-index failure, after the remaining
+ *         cells finish
  */
 PlanRun runPlan(const SimPlan &plan, const RunOptions &options = {});
 
@@ -397,9 +456,9 @@ CellOutcome runJob(const SimJob &job,
                    const JobOptions &options = JobOptions::fromEnvironment());
 
 /**
- * buildPlan() then runPlan() a batch of jobs on @p workers threads
- * (0 = defaultJobs(); 1 = sequential on this thread). Outcomes are
- * returned in job order regardless of scheduling.
+ * buildPlan() then runPlan() a batch of jobs, both on @p workers
+ * threads (0 = defaultJobs(); 1 = sequential on this thread).
+ * Outcomes are returned in job order regardless of scheduling.
  */
 std::vector<CellOutcome> runJobs(
     const std::vector<SimJob> &jobs,

@@ -14,11 +14,20 @@ namespace
 
 /** Manifest with per-instance provenance (generated instances are
  *  "memory" sources named by their sweep label; files carry the
- *  whole-file checksum). */
+ *  whole-file checksum, computed on @p workers threads). */
 RunManifest
 captureSweepManifest(const SweepPlan &plan,
-                     const std::vector<std::unique_ptr<Trace>> &traces)
+                     const std::vector<std::unique_ptr<Trace>> &traces,
+                     unsigned workers)
 {
+    std::vector<std::string> files;
+    for (const SweepTraceInstance &instance : plan.traces)
+        files.push_back(instance.kind == SweepTraceEntry::Kind::File
+                            ? instance.path
+                            : std::string());
+    const std::vector<std::uint64_t> checksums =
+        fileChecksumsFnv64(files, workers);
+
     // The manifest's flattened SimConfig fields describe one config;
     // a sweep has one per cell. Record the first cell's (the spec's
     // first axis values) — per-cell truth lives in the cell labels.
@@ -31,7 +40,7 @@ captureSweepManifest(const SweepPlan &plan,
         if (instance.kind == SweepTraceEntry::Kind::File) {
             provenance.path = instance.path;
             provenance.source = "file";
-            provenance.checksum = fileChecksumFnv64(instance.path);
+            provenance.checksum = checksums[t];
             provenance.hasChecksum = true;
         } else {
             provenance.source = "memory";
@@ -69,10 +78,17 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
         jobs.push_back(std::move(job));
     }
 
+    // Resolve the worker count once: it is logged, recorded in the
+    // manifest and the metrics, and used by the planning pass and the
+    // executor.
+    RunOptions run;
+    run.jobs = options.jobs;
+    run.jobs = run.resolvedJobs();
+
     JobOptions engine;
     engine.shards.shards = 1;
     engine.cache = options.cache;
-    SimPlan sim_plan = buildPlan(jobs, engine);
+    SimPlan sim_plan = buildPlan(jobs, engine, run.jobs);
 
     // Label each cell's timing and progress with its sweep label, and
     // apply the per-cell shard axis. buildPlan resolved everything to
@@ -93,17 +109,13 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
     }
 
     SweepOutcome outcome;
-    outcome.manifest = captureSweepManifest(plan, traces);
+    outcome.plan = sim_plan.timing;
+    outcome.manifest = captureSweepManifest(plan, traces, run.jobs);
     outcome.manifest.stampStart();
 
     const std::string run_label = options.runLabel.empty()
         ? plan.spec.name
         : options.runLabel;
-    // Resolve the worker count once: it is logged, recorded in the
-    // manifest and the metrics, and used by the executor.
-    RunOptions run;
-    run.jobs = options.jobs;
-    run.jobs = run.resolvedJobs();
     run.cancel = options.cancel;
     run.maxSimulatedCells = options.maxSimulatedCells;
     run.onProgress = [&](const GridProgress &progress) {
@@ -154,8 +166,9 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
         outcome.simulatedRefs += cell.timing.simulatedRefs;
     }
 
-    addRunMetrics(outcome.metrics, outcome.timings, outcome.wallSeconds,
-                  run.jobs, options.cache != nullptr);
+    addRunMetrics(outcome.metrics, outcome.timings, outcome.plan,
+                  outcome.wallSeconds, run.jobs,
+                  options.cache != nullptr);
     outcome.metrics.add("sweep.cells.total", plan.cells.size());
     outcome.metrics.add("sweep.cells.executed",
                         outcome.records.size());

@@ -6,7 +6,8 @@
  * cell into a SimJob, and executes the resulting SimPlan through
  * runPlan() (sim/job.hh) — each distinct (trace, block size, sharing)
  * input is decoded once and shared read-only by all cells that
- * replay it.
+ * replay it. The decodes, their checksums and the manifest's
+ * whole-file checksums run on the sweep's workers too.
  * With a CellCache wired in, finished cells persist as they complete,
  * so an interrupted sweep resumes incrementally: re-running the same
  * spec replays the finished cells from the cache and only simulates
@@ -97,6 +98,10 @@ struct SweepOutcome
 
     /** PhaseTimer::nowNs() at run start (the trace origin). */
     std::uint64_t startNs = 0;
+
+    /** The planning pass: per-stream decode timings (worker-lane
+     *  slices before the first cell) and its wall time. */
+    PlanTiming plan;
 
     RunManifest manifest;
     MetricRegistry metrics;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -83,6 +84,68 @@ TEST(ThreadPoolTest, ZeroThreadsRejected)
 TEST(ThreadPoolTest, HardwareThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
+}
+
+TEST(RunIndexedTest, OneWorkerRunsInlineInIndexOrder)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    runIndexed(8, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+    // A single task stays inline at any worker count.
+    runIndexed(1, 8, [&](std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+}
+
+TEST(RunIndexedTest, PoolRunsEveryIndexOnce)
+{
+    std::vector<std::atomic<int>> ran(100);
+    runIndexed(ran.size(), 4,
+               [&](std::size_t i) { ran[i].fetch_add(1); });
+    for (const auto &count : ran)
+        EXPECT_EQ(count.load(), 1);
+}
+
+TEST(RunIndexedTest, LowestFailingIndexWinsRegardlessOfTiming)
+{
+    // Index 1 fails last in time (it waits for index 6 to fail
+    // first), yet its error is the one reported; every task ran.
+    for (int repeat = 0; repeat < 5; ++repeat) {
+        std::atomic<bool> late_failed{false};
+        std::atomic<int> ran{0};
+        try {
+            runIndexed(8, 4, [&](std::size_t i) {
+                ran.fetch_add(1);
+                if (i == 6) {
+                    late_failed = true;
+                    fatal("task 6 failed");
+                }
+                if (i == 1) {
+                    while (!late_failed.load())
+                        std::this_thread::yield();
+                    fatal("task 1 failed");
+                }
+            });
+            ADD_FAILURE() << "runIndexed did not throw";
+        } catch (const UsageError &error) {
+            EXPECT_STREQ(error.what(), "task 1 failed");
+        }
+        EXPECT_EQ(ran.load(), 8);
+    }
+    // Inline, the first failure stops the batch.
+    int ran = 0;
+    EXPECT_THROW(runIndexed(8, 1,
+                            [&](std::size_t i) {
+                                ++ran;
+                                if (i == 2)
+                                    fatal("task 2 failed");
+                            }),
+                 UsageError);
+    EXPECT_EQ(ran, 3);
 }
 
 } // namespace

@@ -100,7 +100,8 @@ TEST(RunFilesWithArtifactsTest, ManifestCarriesFileProvenance)
     std::ostringstream os;
     JsonlSink sink(os);
     const GridResult grid = runToSink(TraceRef::files(paths), sink);
-    EXPECT_GT(grid.setupPhases.get(Phase::Read), 0u);
+    EXPECT_GT(grid.plan.wallSeconds, 0.0);
+    EXPECT_EQ(grid.plan.decodes.size(), paths.size());
 
     std::istringstream in(os.str());
     const RunArtifacts loaded = loadArtifacts(in);

@@ -217,6 +217,7 @@ TEST(ServeTelemetryTest, TraceRendersTheRunTimeline)
     std::size_t queue_spans = 0;
     std::size_t run_spans = 0;
     std::size_t cell_spans = 0;
+    std::size_t decode_spans = 0;
     std::size_t http_spans = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const JsonValue &event = events.at(i);
@@ -229,12 +230,15 @@ TEST(ServeTelemetryTest, TraceRendersTheRunTimeline)
             ++run_spans;
         else if (cat->asString() == "cell")
             ++cell_spans;
+        else if (cat->asString() == "decode")
+            ++decode_spans;
         else if (cat->asString() == "http")
             ++http_spans;
     }
     EXPECT_EQ(queue_spans, 1u);
     EXPECT_EQ(run_spans, 1u);
     EXPECT_EQ(cell_spans, 2u); // 2 schemes x 1 trace
+    EXPECT_EQ(decode_spans, 1u); // 1 trace x 1 block size
     // The submitting POST always overlaps the run's window. The
     // events request is only guaranteed to when the run outlives it,
     // which a fast simulator on a small spec does not promise.

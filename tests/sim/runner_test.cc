@@ -247,15 +247,17 @@ TEST(RunnerTest, SimConfigFromEnvironment)
     unsetenv("DIRSIM_SHARING");
 }
 
-/** Names of the runner.grid.* and runner.cache.* metrics. */
+/** Names of the run-level runner.grid/cache/plan/build metrics. */
 std::set<std::string>
 runMetricNames(const MetricRegistry &metrics)
 {
     std::set<std::string> names;
     for (const auto &[name, metric] : metrics)
-        if (name.rfind("runner.grid.", 0) == 0
-            || name.rfind("runner.cache.", 0) == 0)
-            names.insert(name);
+        for (const char *prefix :
+             {"runner.grid.", "runner.cache.", "runner.plan.",
+              "runner.build."})
+            if (name.rfind(prefix, 0) == 0)
+                names.insert(name);
     return names;
 }
 
@@ -315,9 +317,11 @@ TEST(ExecutorParityTest, GridAndSweepAgreeOnTraceFiles)
         const MetricRegistry grid_metrics = gridMetrics(grid);
         EXPECT_EQ(runMetricNames(grid_metrics),
                   runMetricNames(sweep.metrics));
+        EXPECT_TRUE(grid_metrics.has("runner.plan.decode_seconds"));
+        EXPECT_TRUE(grid_metrics.has("runner.plan.wall_seconds"));
         for (const char *name :
              {"runner.grid.jobs", "runner.grid.cells",
-              "runner.grid.hardware_threads"})
+              "runner.grid.hardware_threads", "runner.build.optimized"})
             EXPECT_EQ(grid_metrics.gauge(name), sweep.metrics.gauge(name))
                 << name;
         for (const char *name :
