@@ -37,9 +37,9 @@ main()
     for (const char *scheme :
          {"Dir0B", "DirNNB", "Dragon", "WTI", "Dir1NB"}) {
         const double with_tts =
-            simulateTrace(tts_trace, scheme).cost(costs).total();
+            simulateTrace(tts_trace, parseScheme(scheme)).cost(costs).total();
         const double with_ts =
-            simulateTrace(ts_trace, scheme).cost(costs).total();
+            simulateTrace(ts_trace, parseScheme(scheme)).cost(costs).total();
         table.addRow({
             scheme,
             bench::cyc(with_tts),

@@ -61,10 +61,13 @@ main()
         SimConfig by_cpu;
         by_cpu.sharing = SharingModel::ByProcessor;
         const double proc_cost =
-            simulateTrace(trace, "Dir0B", by_process).cost(costs)
+            simulateTrace(trace, parseScheme("Dir0B"), by_process)
+                .cost(costs)
                 .total();
         const double cpu_cost =
-            simulateTrace(trace, "Dir0B", by_cpu).cost(costs).total();
+            simulateTrace(trace, parseScheme("Dir0B"), by_cpu)
+                .cost(costs)
+                .total();
 
         table.addRow({
             TextTable::fixed(migration, 3),

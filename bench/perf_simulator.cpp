@@ -95,7 +95,7 @@ BM_SimulateDecoded(benchmark::State &state, const char *scheme)
     const DecodedTrace decoded = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcess);
     for (auto _ : state) {
-        const SimResult result = simulateTrace(decoded, scheme);
+        const SimResult result = simulateTrace(decoded, parseScheme(scheme));
         benchmark::DoNotOptimize(result.totalRefs);
     }
     state.SetItemsProcessed(

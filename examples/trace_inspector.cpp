@@ -13,9 +13,10 @@
  * event frequencies for every implemented scheme, and the bus-cycle
  * costs on both bus models. File inputs go through the streaming
  * TraceSource API (trace/reader.hh): characterization streams the
- * file in bounded memory, every simulation decodes it once, and the
- * integrity line reports the container format — for binary v2, the
- * trailing FNV-1a checksum is verified as each pass drains the file.
+ * file in bounded memory, one decode (sim/decoded.hh) feeds every
+ * scheme, and the integrity line reports the container format — for
+ * binary v2, the trailing FNV-1a checksum is verified as each of the
+ * two passes drains the file.
  */
 
 #include <cstdlib>
@@ -95,12 +96,13 @@ main(int argc, char **argv)
             stats = computeTraceStats(*source);
             printTraceStats(stats);
 
-            // One validating scan rejects a malformed file before any
-            // simulation; each scheme then decodes and replays it.
+            // One validating decode, replayed by every scheme.
             const SimConfig sim;
-            scanTraceFile(input, sim.sharing);
+            const DecodedTrace decoded =
+                decodeTraceFile(input, sim.blockBytes, sim.sharing);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTraceFile(input, scheme, sim));
+                results.push_back(
+                    simulateTrace(decoded, parseScheme(scheme), sim));
         } else {
             const Trace trace = generateTrace(input, refs, seed);
             std::cout << "=== trace characteristics: " << trace.name()
@@ -108,7 +110,8 @@ main(int argc, char **argv)
             stats = computeTraceStats(trace);
             printTraceStats(stats);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTrace(trace, scheme));
+                results.push_back(
+                    simulateTrace(trace, parseScheme(scheme)));
         }
 
         std::cout

@@ -111,9 +111,14 @@ printStats(const Trace &trace)
 void
 simulate(const std::string &path, const std::string &scheme)
 {
-    // Streams the file twice (domain-sizing scan, then simulation)
-    // instead of materializing it, so arbitrarily large traces fit.
-    const SimResult result = simulateTraceFile(path, scheme);
+    // A bad scheme name fails before the file is read. One streaming
+    // decode then fills the compact operand arrays; the raw records
+    // are never materialized.
+    const SchemeSpec spec = parseScheme(scheme);
+    const SimConfig config;
+    const SimResult result = simulateTrace(
+        decodeTraceFile(path, config.blockBytes, config.sharing), spec,
+        config);
     const CycleBreakdown pipe = result.cost(paperPipelinedCosts());
     const CycleBreakdown nonpipe =
         result.cost(paperNonPipelinedCosts());

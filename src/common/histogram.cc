@@ -90,24 +90,6 @@ Histogram::maxValue() const
 }
 
 std::uint64_t
-Histogram::quantile(double q) const
-{
-    panicIfNot(q >= 0.0 && q <= 1.0, "Histogram::quantile out of range");
-    if (total == 0)
-        return 0;
-    const double target = q * static_cast<double>(total);
-    std::uint64_t running = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        running += counts[i];
-        if (static_cast<double>(running) >= target && counts[i] != 0)
-            return i;
-        if (static_cast<double>(running) >= target)
-            return i;
-    }
-    return maxValue();
-}
-
-std::uint64_t
 Histogram::weightedSum() const
 {
     std::uint64_t sum = 0;

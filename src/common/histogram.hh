@@ -55,13 +55,6 @@ class Histogram
     /** Largest recorded value; 0 when empty. */
     std::uint64_t maxValue() const;
 
-    /**
-     * Smallest v such that at least @p q of the mass is <= v.
-     *
-     * @param q quantile in [0, 1]
-     */
-    std::uint64_t quantile(double q) const;
-
     /** Sum over all samples of their values. */
     std::uint64_t weightedSum() const;
 

@@ -9,7 +9,8 @@
  *   #include "dirsim/dirsim.hh"
  *
  *   auto trace  = dirsim::generateTrace("pops", 1'000'000, 42);
- *   auto result = dirsim::simulateTrace(trace, "Dir0B");
+ *   auto result =
+ *       dirsim::simulateTrace(trace, dirsim::parseScheme("Dir0B"));
  *   auto cost   = result.cost(dirsim::paperPipelinedCosts());
  *   std::cout << cost.total() << " bus cycles per reference\n";
  * @endcode
@@ -46,7 +47,6 @@
 #include "obs/cell_cache.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/exposition.hh"
-#include "obs/histogram.hh"
 #include "obs/journal.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"

@@ -14,7 +14,7 @@
  *
  *  - hand-labelled service metrics via PromWriter: request counters
  *    by {endpoint, status}, per-discipline queue-wait and
- *    run-duration FixedHistograms with *cumulative* buckets — the
+ *    run-duration Histograms with *cumulative* buckets — the
  *    waiting-time and service-time distributions the bus
  *    service-discipline literature asks for, not just means.
  *
@@ -39,7 +39,7 @@ namespace dirsim
 {
 
 class MetricRegistry;
-class FixedHistogram;
+class Histogram;
 
 /**
  * Sanitize an arbitrary dotted metric name into the Prometheus
@@ -85,18 +85,18 @@ class PromWriter
 
     /**
      * A full histogram family body (the TYPE line is the caller's):
-     * cumulative <name>_bucket{le="..."} samples — one per regular
-     * bucket, bucket i counting values at or below @p upper_bounds[i]
-     * — a closing le="+Inf" bucket equal to the sample total, then
-     * <name>_sum (@p sum, in the same unit as the bounds) and
-     * <name>_count.
+     * cumulative <name>_bucket{le="..."} samples — one per bound,
+     * bucket i counting values at or below @p upper_bounds[i] — a
+     * closing le="+Inf" bucket equal to the sample total (buckets
+     * past the last bound count only there), then <name>_sum (@p sum,
+     * in the same unit as the bounds) and <name>_count.
      *
-     * @throws UsageError when @p upper_bounds does not match the
-     *         histogram's bucket count or is not strictly increasing
+     * @throws UsageError when @p upper_bounds is not strictly
+     *         increasing
      */
     void histogram(const std::string &name,
                    const std::vector<PromLabel> &labels,
-                   const FixedHistogram &hist,
+                   const Histogram &hist,
                    const std::vector<double> &upper_bounds,
                    double sum);
 

@@ -184,14 +184,19 @@ MetricRegistry::importCounters(const std::string &prefix,
 }
 
 void
-MetricRegistry::importHistogram(const std::string &prefix,
-                                const Histogram &histogram)
+MetricRegistry::importHistogram(
+    const std::string &prefix, const Histogram &histogram,
+    std::optional<std::uint64_t> overflow_bucket)
 {
     add(prefix + ".samples", histogram.samples());
     const auto &buckets = histogram.buckets();
     for (std::size_t v = 0; v < buckets.size(); ++v) {
-        if (buckets[v] != 0)
-            add(prefix + "." + std::to_string(v), buckets[v]);
+        if (buckets[v] == 0)
+            continue;
+        add(prefix + "."
+                + (v == overflow_bucket ? std::string("overflow")
+                                        : std::to_string(v)),
+            buckets[v]);
     }
 }
 

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -130,11 +131,14 @@ class MetricRegistry
                         const CounterSet &counters);
 
     /**
-     * Import a dense Histogram as counters
-     * "<prefix>.<bucket>" (plus "<prefix>.samples").
+     * Import a dense Histogram as counters "<prefix>.<bucket>" for
+     * every nonzero bucket (plus "<prefix>.samples"). When set,
+     * @p overflow_bucket is the bucket the caller clamped every
+     * larger value into; it is named "<prefix>.overflow" instead.
      */
-    void importHistogram(const std::string &prefix,
-                         const Histogram &histogram);
+    void importHistogram(
+        const std::string &prefix, const Histogram &histogram,
+        std::optional<std::uint64_t> overflow_bucket = std::nullopt);
 
     /** Name-ordered iteration. */
     auto begin() const { return entries.begin(); }

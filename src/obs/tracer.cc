@@ -10,6 +10,18 @@
 namespace dirsim
 {
 
+namespace
+{
+
+/** Record @p value, clamped into the overflow bucket. */
+void
+addClamped(Histogram &hist, std::uint64_t value)
+{
+    hist.add(std::min<std::uint64_t>(value, traceDistBuckets));
+}
+
+} // namespace
+
 TracerConfig
 TracerConfig::fromEnvironment()
 {
@@ -75,22 +87,12 @@ void
 EventTracer::exportMetrics(MetricRegistry &metrics) const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    const auto exportHist = [&](const char *name,
-                                const FixedHistogram &hist) {
-        const std::string prefix =
-            std::string("trace.dist.") + name;
-        metrics.add(prefix + ".samples", hist.samples());
-        if (hist.overflow() != 0)
-            metrics.add(prefix + ".overflow", hist.overflow());
-        for (std::uint64_t v = 0; v < hist.bucketCount(); ++v) {
-            if (hist.count(v) != 0)
-                metrics.add(prefix + "." + std::to_string(v),
-                            hist.count(v));
-        }
-    };
-    exportHist("inval_on_clean_write", invalHist);
-    exportHist("sharer_set_size", sharerHist);
-    exportHist("write_run_length", runHist);
+    metrics.importHistogram("trace.dist.inval_on_clean_write",
+                            invalHist, traceDistBuckets);
+    metrics.importHistogram("trace.dist.sharer_set_size", sharerHist,
+                            traceDistBuckets);
+    metrics.importHistogram("trace.dist.write_run_length", runHist,
+                            traceDistBuckets);
     metrics.add("trace.events.emitted", emitted);
     metrics.add("trace.events.dropped", droppedTotal);
     metrics.set("trace.sample_period", tracerConfig.samplePeriod);
@@ -140,9 +142,9 @@ EventTracer::Session::emit(const ProtocolTraceEvent &event)
 void
 EventTracer::Session::cleanWriteSample(unsigned num_others)
 {
-    invalHist.add(num_others);
+    addClamped(invalHist, num_others);
     // The holder set at that write includes the writer itself.
-    sharerHist.add(static_cast<std::uint64_t>(num_others) + 1);
+    addClamped(sharerHist, static_cast<std::uint64_t>(num_others) + 1);
 }
 
 void
@@ -153,7 +155,7 @@ EventTracer::Session::dataRef(BlockNum block, CacheId cache,
     if (!is_write) {
         // Any read to the block ends the current write run.
         if (it != openRuns.end()) {
-            runHist.add(it->second.length);
+            addClamped(runHist, it->second.length);
             openRuns.erase(it);
         }
         return;
@@ -167,7 +169,7 @@ EventTracer::Session::dataRef(BlockNum block, CacheId cache,
         return;
     }
     // A different cache took over writing: close and restart.
-    runHist.add(it->second.length);
+    addClamped(runHist, it->second.length);
     it->second = WriteRun{cache, 1};
 }
 
@@ -178,7 +180,7 @@ EventTracer::Session::finish()
         return;
     finished = true;
     for (const auto &[block, run] : openRuns)
-        runHist.add(run.length);
+        addClamped(runHist, run.length);
     openRuns.clear();
     owner->absorb(*this);
 }

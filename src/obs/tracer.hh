@@ -35,13 +35,19 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/histogram.hh"
+#include "common/histogram.hh"
 #include "protocols/events.hh"
 
 namespace dirsim
 {
 
 class MetricRegistry;
+
+/** Exact buckets of the tracer's distributions: values 0..63 count
+ *  as themselves, larger ones are clamped into bucket 64 (exported
+ *  as "<name>.overflow"), so a long write run cannot grow a huge
+ *  bucket vector. */
+inline constexpr std::size_t traceDistBuckets = 64;
 
 /** Tracer knobs. */
 struct TracerConfig
@@ -107,13 +113,13 @@ class EventTracer
     const TracerConfig &config() const { return tracerConfig; }
 
     /** Figure 1: other holders invalidated on clean-block writes. */
-    const FixedHistogram &invalidations() const { return invalHist; }
+    const Histogram &invalidations() const { return invalHist; }
 
     /** Holder-set size (writer included) at those same writes. */
-    const FixedHistogram &sharerSetSizes() const { return sharerHist; }
+    const Histogram &sharerSetSizes() const { return sharerHist; }
 
     /** Lengths of uninterrupted single-writer runs per block. */
-    const FixedHistogram &writeRunLengths() const { return runHist; }
+    const Histogram &writeRunLengths() const { return runHist; }
 
     /** Timeline events emitted across all sessions (kept+dropped). */
     std::uint64_t emittedEvents() const { return emitted; }
@@ -142,9 +148,9 @@ class EventTracer
 
     TracerConfig tracerConfig;
     mutable std::mutex mutex;
-    FixedHistogram invalHist{traceDistBuckets};
-    FixedHistogram sharerHist{traceDistBuckets};
-    FixedHistogram runHist{traceDistBuckets};
+    Histogram invalHist;
+    Histogram sharerHist;
+    Histogram runHist;
     std::vector<CellTimeline> cellTimelines;
     std::uint64_t emitted = 0;
     std::uint64_t droppedTotal = 0;
@@ -200,9 +206,9 @@ class EventTracer::Session : public ProtocolTraceSink
     std::uint64_t ringSeen = 0;
     std::uint64_t ringDropped = 0;
 
-    FixedHistogram invalHist{traceDistBuckets};
-    FixedHistogram sharerHist{traceDistBuckets};
-    FixedHistogram runHist{traceDistBuckets};
+    Histogram invalHist;
+    Histogram sharerHist;
+    Histogram runHist;
     std::unordered_map<BlockNum, WriteRun> openRuns;
     bool finished = false;
 };

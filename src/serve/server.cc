@@ -24,9 +24,10 @@ namespace dirsim
 namespace
 {
 
-/** Regular buckets of the latency histograms: log2 milliseconds,
+/** Exposed buckets of the latency histograms: log2 milliseconds,
  *  bucket b holding waits in [2^(b-1), 2^b - 1] ms (bucket 0 =
- *  sub-millisecond). 2^31 ms ≈ 25 days — nothing overflows. */
+ *  sub-millisecond). 2^31 ms ≈ 25 days; a longer wait would count
+ *  only in the +Inf bucket. */
 constexpr std::size_t latencyBuckets = 32;
 
 std::uint64_t
@@ -162,9 +163,7 @@ ServeConfig::fromEnvironment()
 }
 
 SweepServer::SweepServer(ServeConfig config_arg)
-    : config(std::move(config_arg)),
-      queueWaitHist(latencyBuckets),
-      runDurationHist(latencyBuckets)
+    : config(std::move(config_arg))
 {
 }
 

@@ -62,8 +62,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/histogram.hh"
 #include "obs/journal.hh"
 #include "obs/metrics.hh"
 #include "serve/discipline.hh"
@@ -236,8 +236,8 @@ class SweepServer
 
     /** Queue-wait / run-duration distributions, log2-millisecond
      *  buckets (serve/server.cc latencyBucket()). */
-    FixedHistogram queueWaitHist;
-    FixedHistogram runDurationHist;
+    Histogram queueWaitHist;
+    Histogram runDurationHist;
     double queueWaitSumSeconds = 0.0;
     double runDurationSumSeconds = 0.0;
 

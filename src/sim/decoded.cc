@@ -4,6 +4,7 @@
 #include "common/dense_id_map.hh"
 #include "common/logging.hh"
 #include "protocols/registry.hh"
+#include "sim/engine_parts.hh"
 #include "trace/reader.hh"
 
 namespace dirsim
@@ -34,10 +35,10 @@ decodeTrace(TraceSource &source, unsigned block_bytes,
         out.caches.reserve(*hint);
     }
 
-    // Sizing state mirrors scanTraceFile(): distinct pids over *all*
-    // records / the maximum CPU index. The mapping state mirrors the
-    // simulation loop: dense ids handed out in order of first
-    // appearance over *data* records only. DenseIdMap rather than
+    // Sizing state follows cachesNeeded(Trace, ...): distinct pids
+    // over *all* records / the maximum CPU index. The mapping state
+    // mirrors the simulation loop: dense ids handed out in order of
+    // first appearance over *data* records only. DenseIdMap rather than
     // std::unordered_map: these three insert-or-finds per record are
     // the whole decode pass, and the flat table halves its cost.
     DenseIdMap sizing_pids;
@@ -106,13 +107,19 @@ DecodedTrace
 decodeTraceFile(const std::string &path, unsigned block_bytes,
                 SharingModel sharing)
 {
-    const auto source = openTraceSource(path);
-    return decodeTrace(*source, block_bytes, sharing);
+    try {
+        const auto source = openTraceSource(path);
+        return decodeTrace(*source, block_bytes, sharing);
+    } catch (const UsageError &error) {
+        // Name the file: a grid over many files must say which one
+        // is bad.
+        throw UsageError("trace file '" + path + "': " + error.what());
+    }
 }
 
-SimResult
-simulateTrace(const DecodedTrace &decoded,
-              CoherenceProtocol &protocol, const SimConfig &config)
+void
+checkDecodedGeometry(const DecodedTrace &decoded,
+                     const SimConfig &config)
 {
     checkBlockSize(config.blockBytes);
     fatalIf(config.blockBytes != decoded.blockBytes,
@@ -122,6 +129,32 @@ simulateTrace(const DecodedTrace &decoded,
     fatalIf(config.sharing != decoded.sharing,
             "trace was decoded under a different sharing model than "
             "the simulation requests; decode it again");
+}
+
+SimResult
+measuredResult(const DecodedTrace &decoded,
+               const CoherenceProtocol &protocol,
+               const WarmupSnapshot &warmup)
+{
+    SimResult result;
+    result.scheme = protocol.name();
+    result.traceName = decoded.name;
+    result.numCaches = protocol.numCaches();
+    result.events = protocol.events();
+    result.events.subtract(warmup.events);
+    result.ops = protocol.ops();
+    result.ops.subtract(warmup.ops);
+    result.cleanWriteHolders = protocol.cleanWriteHolders();
+    result.cleanWriteHolders.subtract(warmup.cleanWriteHolders);
+    result.totalRefs = result.events.totalRefs();
+    return result;
+}
+
+SimResult
+simulateTrace(const DecodedTrace &decoded,
+              CoherenceProtocol &protocol, const SimConfig &config)
+{
+    checkDecodedGeometry(decoded, config);
     fatalIf(config.finiteCache && !protocol.finiteCaches(),
             "SimConfig::finiteCache is set but the supplied protocol "
             "was built with infinite caches; build it with a "
@@ -140,9 +173,7 @@ simulateTrace(const DecodedTrace &decoded,
     std::uint64_t data_refs = 0;
     std::uint64_t processed = 0;
 
-    EventCounts warmup_events;
-    OpCounts warmup_ops;
-    Histogram warmup_hist;
+    WarmupSnapshot warmup;
     bool warmup_taken = config.warmupRefs == 0;
 
     PhaseBreakdown phases;
@@ -152,9 +183,7 @@ simulateTrace(const DecodedTrace &decoded,
     const std::uint64_t num_records = decoded.numRecords();
     for (std::uint64_t i = 0; i < num_records; ++i) {
         if (!warmup_taken && processed >= config.warmupRefs) {
-            warmup_events = protocol.events();
-            warmup_ops = protocol.ops();
-            warmup_hist = protocol.cleanWriteHolders();
+            warmup.take(protocol);
             warmup_taken = true;
             measure_start = PhaseTimer::nowNs();
             phases.add(Phase::Warmup, measure_start - loop_start);
@@ -188,17 +217,7 @@ simulateTrace(const DecodedTrace &decoded,
     const std::uint64_t loop_end = PhaseTimer::nowNs();
     phases.add(Phase::Simulate, loop_end - measure_start);
 
-    SimResult result;
-    result.scheme = protocol.name();
-    result.traceName = decoded.name;
-    result.numCaches = protocol.numCaches();
-    result.events = protocol.events();
-    result.events.subtract(warmup_events);
-    result.ops = protocol.ops();
-    result.ops.subtract(warmup_ops);
-    result.cleanWriteHolders = protocol.cleanWriteHolders();
-    result.cleanWriteHolders.subtract(warmup_hist);
-    result.totalRefs = result.events.totalRefs();
+    SimResult result = measuredResult(decoded, protocol, warmup);
     phases.add(Phase::Reduce, PhaseTimer::nowNs() - loop_end);
     result.phases = phases;
     return result;
@@ -214,13 +233,6 @@ simulateTrace(const DecodedTrace &decoded, const SchemeSpec &scheme,
     const auto protocol =
         makeProtocol(scheme, caches, cacheFactoryFor(config));
     return simulateTrace(decoded, *protocol, config);
-}
-
-SimResult
-simulateTrace(const DecodedTrace &decoded, const std::string &scheme,
-              const SimConfig &config)
-{
-    return simulateTrace(decoded, parseScheme(scheme), config);
 }
 
 } // namespace dirsim

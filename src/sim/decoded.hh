@@ -74,8 +74,8 @@ struct DecodedTrace
     /**
      * Caches a simulation of this trace must build: distinct pids
      * over all records (ByProcess) or observed CPUs, falling back to
-     * the header CPU count (ByProcessor) — exactly scanTraceFile()'s
-     * sizing rule.
+     * the header CPU count (ByProcessor) — the same rule as
+     * cachesNeeded(const Trace &, SharingModel).
      */
     unsigned cachesNeeded = 0;
     /**
@@ -114,9 +114,12 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
 
 /**
  * Decode a trace file in a single streaming read — this both sizes
- * the coherence domain and captures the records, so simulateTraceFile
- * touches the file exactly once, and runGrid() over TraceRef::file
- * inputs once per decoded (block size, sharing) stream.
+ * the coherence domain and captures the records, so runGrid() over
+ * TraceRef::file inputs reads each file once per decoded (block
+ * size, sharing) stream.
+ *
+ * @throws UsageError when the file cannot be opened or is malformed;
+ *         the message starts with "trace file '<path>': "
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,
@@ -147,13 +150,6 @@ SimResult simulateTrace(const DecodedTrace &decoded,
  */
 SimResult simulateTrace(const DecodedTrace &decoded,
                         const SchemeSpec &scheme,
-                        const SimConfig &config = {});
-
-/** Legacy string-named convenience for the spec overload; kept as a
- *  one-line wrapper. Prefer runJob({TraceRef::of(decoded),
- *  parseScheme(name), config}) — sim/job.hh, docs/api.md. */
-SimResult simulateTrace(const DecodedTrace &decoded,
-                        const std::string &scheme,
                         const SimConfig &config = {});
 
 } // namespace dirsim

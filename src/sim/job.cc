@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "directory/sharer_set.hh"
+#include "sim/engine_parts.hh"
 #include "trace/format.hh"
 
 namespace dirsim
@@ -457,17 +458,13 @@ runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
 
     std::uint64_t data_refs = 0;
     std::uint64_t processed = 0;
-    EventCounts warmup_events;
-    OpCounts warmup_ops;
-    Histogram warmup_hist;
+    WarmupSnapshot warmup;
     bool warmup_taken = config.warmupRefs == 0;
 
     const std::uint64_t num_records = decoded.numRecords();
     for (std::uint64_t i = 0; i < num_records; ++i) {
         if (!warmup_taken && processed >= config.warmupRefs) {
-            warmup_events = protocol.events();
-            warmup_ops = protocol.ops();
-            warmup_hist = protocol.cleanWriteHolders();
+            warmup.take(protocol);
             warmup_taken = true;
         }
         ++processed;
@@ -503,17 +500,7 @@ runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
     if (config.invariantCheckPeriod != 0)
         protocol.checkAllInvariants();
 
-    SimResult &result = part.result;
-    result.scheme = protocol.name();
-    result.traceName = decoded.name;
-    result.numCaches = protocol.numCaches();
-    result.events = protocol.events();
-    result.events.subtract(warmup_events);
-    result.ops = protocol.ops();
-    result.ops.subtract(warmup_ops);
-    result.cleanWriteHolders = protocol.cleanWriteHolders();
-    result.cleanWriteHolders.subtract(warmup_hist);
-    result.totalRefs = result.events.totalRefs();
+    part.result = measuredResult(decoded, protocol, warmup);
     return part;
 }
 
@@ -550,14 +537,7 @@ simulateTraceSharded(const DecodedTrace &decoded,
     fatalIf(config.traceSink != nullptr,
             "a sharded cell cannot share one SimConfig::traceSink "
             "across shards; pass a ShardSinkFactory instead");
-    checkBlockSize(config.blockBytes);
-    fatalIf(config.blockBytes != decoded.blockBytes,
-            "trace was decoded with ", decoded.blockBytes,
-            "-byte blocks but the simulation uses ", config.blockBytes,
-            "-byte blocks; decode it again");
-    fatalIf(config.sharing != decoded.sharing,
-            "trace was decoded under a different sharing model than "
-            "the simulation requests; decode it again");
+    checkDecodedGeometry(decoded, config);
     const unsigned caches = decoded.cachesNeeded;
     fatalIf(caches == 0, "trace '", decoded.name,
             "' has no references");

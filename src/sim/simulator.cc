@@ -1,13 +1,9 @@
 #include "sim/simulator.hh"
 
-#include <unordered_set>
-
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "protocols/registry.hh"
 #include "sim/decoded.hh"
 #include "sim/job.hh"
-#include "trace/reader.hh"
 
 namespace dirsim
 {
@@ -86,64 +82,6 @@ simulateTrace(const Trace &trace, const SchemeSpec &scheme,
     // One-line wrapper over the SimJob engine (sim/job.hh).
     return runJob({TraceRef::of(trace), scheme, config}, JobOptions{})
         .result;
-}
-
-TraceFileInfo
-scanTraceFile(const std::string &path, SharingModel sharing)
-{
-    const auto source = openTraceSource(path);
-    TraceFileInfo info;
-    std::unordered_set<std::uint64_t> pids;
-    unsigned max_cpu = 0;
-    TraceRecord record;
-    while (source->next(record)) {
-        ++info.records;
-        pids.insert(record.pid);
-        if (record.cpu > max_cpu)
-            max_cpu = record.cpu;
-    }
-    info.name = source->name();
-    if (sharing == SharingModel::ByProcess) {
-        info.caches = static_cast<unsigned>(pids.size());
-    } else {
-        const unsigned observed = info.records > 0 ? max_cpu + 1 : 0;
-        info.caches = observed > 0 ? observed : source->numCpus();
-    }
-    return info;
-}
-
-SimResult
-simulateTraceFile(const std::string &path, const SchemeSpec &scheme,
-                  const SimConfig &config)
-{
-    // One streaming read both sizes the coherence domain and captures
-    // the records, so the file is touched exactly once. The whole
-    // decode is the cell's Read phase.
-    const std::uint64_t read_start = PhaseTimer::nowNs();
-    const DecodedTrace decoded =
-        decodeTraceFile(path, config.blockBytes, config.sharing);
-    fatalIf(decoded.cachesNeeded == 0, "trace file '", path,
-            "' has no references");
-    const auto protocol = makeProtocol(scheme, decoded.cachesNeeded,
-                                       cacheFactoryFor(config));
-    const std::uint64_t read_ns = PhaseTimer::nowNs() - read_start;
-    SimResult result = simulateTrace(decoded, *protocol, config);
-    result.phases.add(Phase::Read, read_ns);
-    return result;
-}
-
-SimResult
-simulateTraceFile(const std::string &path, const std::string &scheme,
-                  const SimConfig &config)
-{
-    return simulateTraceFile(path, parseScheme(scheme), config);
-}
-
-SimResult
-simulateTrace(const Trace &trace, const std::string &scheme,
-              const SimConfig &config)
-{
-    return simulateTrace(trace, parseScheme(scheme), config);
 }
 
 } // namespace dirsim

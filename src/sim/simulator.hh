@@ -155,16 +155,6 @@ SimResult simulateTrace(const Trace &trace,
 SimResult simulateTrace(const Trace &trace, const SchemeSpec &scheme,
                         const SimConfig &config = {});
 
-/**
- * Legacy string-named convenience: parse the scheme name
- * (protocols/registry.hh), then run the spec-based overload. Kept as
- * a one-line wrapper for downstream code; prefer
- * runJob({TraceRef::of(trace), parseScheme(name), config}) — see
- * docs/api.md for the migration table.
- */
-SimResult simulateTrace(const Trace &trace, const std::string &scheme,
-                        const SimConfig &config = {});
-
 /** Caches @p trace needs under @p sharing (distinct pids or CPUs). */
 unsigned cachesNeeded(const Trace &trace, SharingModel sharing);
 
@@ -173,50 +163,6 @@ unsigned cachesNeeded(const Trace &trace, SharingModel sharing);
  * caches) when unset, a validated FiniteCache factory when set.
  */
 CacheFactory cacheFactoryFor(const SimConfig &config);
-
-/** What one streaming pass over a trace file learns. */
-struct TraceFileInfo
-{
-    std::string name;          ///< workload name from the header
-    std::uint64_t records = 0; ///< records in the file
-    unsigned caches = 0;       ///< caches needed under the scan's
-                               ///< sharing model
-};
-
-/**
- * Scan a trace file once (streaming, bounded memory) to learn what a
- * simulation of it needs: the record count, the workload name, and
- * the cache count under @p sharing. Validates the whole file as a
- * side effect — header, every record, and the v2 checksum.
- */
-TraceFileInfo scanTraceFile(const std::string &path,
-                            SharingModel sharing);
-
-/**
- * Simulate a trace file end to end.
- *
- * The file is decoded in a single streaming read (sim/decoded.hh) —
- * sizing the coherence domain and capturing the records at once —
- * and simulated through the hash-free engine. Results are
- * bit-identical to loading the file and running the in-memory
- * overload.
- *
- * This is the engine's single-file primitive; new code that wants
- * sharding or the result cache should run a SimJob on a
- * TraceRef::file() instead (sim/job.hh, docs/api.md).
- */
-SimResult simulateTraceFile(const std::string &path,
-                            const SchemeSpec &scheme,
-                            const SimConfig &config = {});
-
-/**
- * Legacy string-named convenience for simulateTraceFile(); kept as a
- * one-line wrapper. Prefer a SimJob over TraceRef::file() with
- * parseScheme() (docs/api.md).
- */
-SimResult simulateTraceFile(const std::string &path,
-                            const std::string &scheme,
-                            const SimConfig &config = {});
 
 } // namespace dirsim
 

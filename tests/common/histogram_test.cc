@@ -126,24 +126,6 @@ TEST(HistogramTest, SubtractEmptyIsNoop)
     EXPECT_EQ(h.samples(), 2u);
 }
 
-TEST(HistogramTest, QuantileBasics)
-{
-    Histogram h;
-    for (std::uint64_t v = 0; v < 10; ++v)
-        h.add(v);
-    EXPECT_EQ(h.quantile(0.0), 0u);
-    EXPECT_LE(h.quantile(0.5), 5u);
-    EXPECT_EQ(h.quantile(1.0), 9u);
-}
-
-TEST(HistogramTest, QuantileOutOfRangePanics)
-{
-    Histogram h;
-    h.add(1);
-    EXPECT_THROW(h.quantile(-0.1), LogicError);
-    EXPECT_THROW(h.quantile(1.1), LogicError);
-}
-
 TEST(HistogramTest, WeightedSum)
 {
     Histogram h;

@@ -38,7 +38,7 @@ tracedRun(EventTracer &tracer, const Trace &trace,
     auto session = tracer.session(scheme, trace.name(), block);
     SimConfig sim;
     sim.traceSink = session.get();
-    return simulateTrace(trace, scheme, sim);
+    return simulateTrace(trace, parseScheme(scheme), sim);
     // session merges into the tracer on destruction
 }
 
@@ -64,7 +64,7 @@ TEST(TracerConfigTest, FromEnvironmentReadsOverrides)
 TEST(EventTracerTest, TracedRunIsBitIdenticalToUntraced)
 {
     const Trace trace = benchTrace();
-    const SimResult plain = simulateTrace(trace, "Dir1NB");
+    const SimResult plain = simulateTrace(trace, parseScheme("Dir1NB"));
 
     for (const unsigned period : {1u, 7u}) {
         TracerConfig config;
@@ -170,7 +170,7 @@ TEST(EventTracerTest, WriteRunLengthsFollowWriterHandoffs)
     EventTracer tracer(config);
     tracedRun(tracer, trace, "Dir1NB");
 
-    const FixedHistogram &runs = tracer.writeRunLengths();
+    const Histogram &runs = tracer.writeRunLengths();
     EXPECT_EQ(runs.samples(), 2u);
     EXPECT_EQ(runs.count(3), 1u);
     EXPECT_EQ(runs.count(2), 1u);
@@ -190,7 +190,7 @@ TEST(EventTracerTest, OpenRunsFlushOnSessionClose)
     EventTracer tracer(config);
     tracedRun(tracer, trace, "Dir0B");
 
-    const FixedHistogram &runs = tracer.writeRunLengths();
+    const Histogram &runs = tracer.writeRunLengths();
     EXPECT_EQ(runs.samples(), 2u);
     EXPECT_EQ(runs.count(2), 1u);
     EXPECT_EQ(runs.count(1), 1u);
@@ -218,6 +218,75 @@ TEST(EventTracerTest, ExportMetricsUsesTraceDistNamespace)
     EXPECT_EQ(metrics.counter("trace.events.emitted"),
               tracer.emittedEvents());
     EXPECT_DOUBLE_EQ(metrics.gauge("trace.sample_period"), 2.0);
+}
+
+TEST(EventTracerTest, LongWriteRunExportsOverflowBucket)
+{
+    using test::write;
+    Trace trace;
+    trace.setName("long-run");
+    for (std::size_t i = 0; i < traceDistBuckets + 6; ++i)
+        trace.append(write(0, 0));
+
+    TracerConfig config;
+    config.samplePeriod = 1;
+    EventTracer tracer(config);
+    tracedRun(tracer, trace, "Dir1NB");
+
+    // The run is clamped into the overflow bucket at add time.
+    const Histogram &runs = tracer.writeRunLengths();
+    EXPECT_EQ(runs.samples(), 1u);
+    EXPECT_EQ(runs.count(traceDistBuckets), 1u);
+    EXPECT_EQ(runs.buckets().size(), traceDistBuckets + 1);
+
+    MetricRegistry metrics;
+    tracer.exportMetrics(metrics);
+    const std::string prefix = "trace.dist.write_run_length.";
+    EXPECT_EQ(metrics.counter(prefix + "samples"), 1u);
+    EXPECT_EQ(metrics.counter(prefix + "overflow"), 1u);
+    EXPECT_FALSE(
+        metrics.has(prefix + std::to_string(traceDistBuckets)));
+    EXPECT_FALSE(
+        metrics.has(prefix + std::to_string(traceDistBuckets + 6)));
+}
+
+/**
+ * Golden distribution test: on every paper scheme, the tracer's
+ * invalidation histogram must reproduce the simulator's own Figure 1
+ * counters (SimResult::cleanWriteHolders) bit for bit — both observe
+ * every clean-block write, just through different plumbing. The
+ * sharer-set histogram is the same distribution shifted by the
+ * writer itself.
+ */
+TEST(EventTracerTest, InvalidationsMatchFigureOneCounters)
+{
+    SuiteParams params;
+    params.refsPerTrace = 40'000;
+    params.seed = 7;
+    const std::vector<Trace> traces = standardSuite(params);
+
+    for (const std::string &scheme : paperSchemes()) {
+        for (const Trace &trace : traces) {
+            TracerConfig config;
+            config.samplePeriod = 1;
+            EventTracer tracer(config);
+            const SimResult result = tracedRun(tracer, trace, scheme);
+
+            const Histogram &golden = result.cleanWriteHolders;
+            ASSERT_LT(golden.maxValue(), traceDistBuckets);
+            EXPECT_TRUE(tracer.invalidations() == golden)
+                << scheme << "/" << trace.name();
+
+            const Histogram &sharers = tracer.sharerSetSizes();
+            EXPECT_EQ(sharers.samples(), golden.samples());
+            EXPECT_EQ(sharers.count(0), 0u);
+            for (std::uint64_t v = 0; v + 1 < traceDistBuckets; ++v) {
+                ASSERT_EQ(sharers.count(v + 1), golden.count(v))
+                    << scheme << "/" << trace.name() << " sharers "
+                    << v + 1;
+            }
+        }
+    }
 }
 
 TEST(EventTracerTest, ParallelRunnerMergesOneTimelinePerCell)

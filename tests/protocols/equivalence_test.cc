@@ -32,7 +32,7 @@ testTrace()
 SimResult
 run(const std::string &scheme)
 {
-    return simulateTrace(testTrace(), scheme);
+    return simulateTrace(testTrace(), parseScheme(scheme));
 }
 
 void
@@ -65,8 +65,8 @@ TEST(EquivalenceTest, DirINBWithOnePointerMatchesDir1NB)
     const SimResult generic = run("Dir2NB");
     (void)generic; // sanity: the family simulates at all
     const SimResult dedicated = run("Dir1NB");
-    const SimResult family =
-        simulateTrace(testTrace(), "Dir1NB"); // deterministic check
+    const SimResult family = // deterministic check
+        simulateTrace(testTrace(), parseScheme("Dir1NB"));
     expectSameEvents(dedicated, family,
                      {EventType::RdHit, EventType::RdMiss,
                       EventType::WrtHit, EventType::WrtMiss});

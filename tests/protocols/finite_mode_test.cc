@@ -163,21 +163,23 @@ TEST_P(FiniteModeAllSchemes, InvariantsSurviveCapacityPressure)
     cache_config.capacityBytes = 4 * 1024; // 256 blocks: heavy churn
     cache_config.ways = 2;
     config.finiteCache = cache_config;
-    EXPECT_NO_THROW(simulateTrace(trace, GetParam(), config));
+    EXPECT_NO_THROW(simulateTrace(trace, parseScheme(GetParam()), config));
 }
 
 TEST_P(FiniteModeAllSchemes, SmallerCachesMissMore)
 {
     const Trace trace = generateTrace("pero", 60'000, 7);
     SimConfig infinite;
-    const SimResult base = simulateTrace(trace, GetParam(), infinite);
+    const SimResult base =
+        simulateTrace(trace, parseScheme(GetParam()), infinite);
 
     SimConfig finite;
     FiniteCacheConfig cache_config;
     cache_config.capacityBytes = 8 * 1024;
     cache_config.ways = 2;
     finite.finiteCache = cache_config;
-    const SimResult capped = simulateTrace(trace, GetParam(), finite);
+    const SimResult capped =
+        simulateTrace(trace, parseScheme(GetParam()), finite);
 
     EXPECT_GT(capped.events.count(EventType::RdMiss),
               base.events.count(EventType::RdMiss));
@@ -215,7 +217,8 @@ TEST(FiniteModeTest, BlockSizeMismatchRejected)
     config.blockBytes = 32;
     FiniteCacheConfig cache_config; // blockBytes 16
     config.finiteCache = cache_config;
-    EXPECT_THROW(simulateTrace(trace, "Dir0B", config), UsageError);
+    EXPECT_THROW(simulateTrace(trace, parseScheme("Dir0B"), config),
+                 UsageError);
 }
 
 } // namespace

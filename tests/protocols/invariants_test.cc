@@ -144,13 +144,13 @@ TEST_P(ProtocolProperty, GeneratedTraceKeepsInvariants)
     const Trace trace = generateTrace("thor", 60'000, 77);
     SimConfig config;
     config.invariantCheckPeriod = 5'000;
-    EXPECT_NO_THROW(simulateTrace(trace, GetParam(), config));
+    EXPECT_NO_THROW(simulateTrace(trace, parseScheme(GetParam()), config));
 }
 
 TEST_P(ProtocolProperty, EventIdentitiesHold)
 {
     const Trace trace = generateTrace("pops", 60'000, 78);
-    const SimResult result = simulateTrace(trace, GetParam());
+    const SimResult result = simulateTrace(trace, parseScheme(GetParam()));
     const EventCounts &e = result.events;
 
     // Read = RdHit + RdMiss + RmFirstRef.

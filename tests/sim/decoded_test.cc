@@ -119,8 +119,8 @@ TEST(DecodedTraceTest, BitIdenticalAcrossPaperSchemes)
             decodeTrace(trace, defaultBlockBytes,
                         SharingModel::ByProcess);
         for (const auto &scheme : paperSchemes()) {
-            expectIdentical(simulateTrace(decoded, scheme),
-                            simulateTrace(trace, scheme));
+            expectIdentical(simulateTrace(decoded, parseScheme(scheme)),
+                            simulateTrace(trace, parseScheme(scheme)));
         }
     }
 }
@@ -142,10 +142,11 @@ TEST(DecodedTraceTest, FiniteCachesRunDenseUnderInvariantChecks)
     const DecodedTrace decoded = decodeTrace(
         traces[0], config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "Dir2NB", "YenFu"}) {
-        const SimResult finite = simulateTrace(decoded, scheme, config);
+        const SimResult finite =
+            simulateTrace(decoded, parseScheme(scheme), config);
         expectIdentical(finite,
-                        simulateTrace(traces[0], scheme, config));
-        const SimResult infinite = simulateTrace(decoded, scheme);
+                        simulateTrace(traces[0], parseScheme(scheme), config));
+        const SimResult infinite = simulateTrace(decoded, parseScheme(scheme));
         EXPECT_GT(finite.events.count(EventType::RdMiss),
                   infinite.events.count(EventType::RdMiss))
             << scheme;
@@ -158,7 +159,7 @@ TEST(DecodedTraceTest, TracedRunsStayIdenticalAndLabelRealBlocks)
     const Trace &trace = traces[1];
     const DecodedTrace decoded = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcess);
-    const SimResult untraced = simulateTrace(trace, "Dir1NB");
+    const SimResult untraced = simulateTrace(trace, parseScheme("Dir1NB"));
 
     TracerConfig tracer_config;
     tracer_config.samplePeriod = 64;
@@ -167,7 +168,7 @@ TEST(DecodedTraceTest, TracedRunsStayIdenticalAndLabelRealBlocks)
         SimConfig config;
         auto session = tracer.session("Dir1NB", trace.name());
         config.traceSink = session.get();
-        expectIdentical(simulateTrace(decoded, "Dir1NB", config),
+        expectIdentical(simulateTrace(decoded, parseScheme("Dir1NB"), config),
                         untraced);
     }
 
@@ -197,8 +198,8 @@ TEST(DecodedTraceTest, WarmupAndInvariantChecksMatch)
     const DecodedTrace decoded = decodeTrace(
         traces[2], config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "DirNNB", "DirCV"}) {
-        expectIdentical(simulateTrace(decoded, scheme, config),
-                        simulateTrace(traces[2], scheme, config));
+        expectIdentical(simulateTrace(decoded, parseScheme(scheme), config),
+                        simulateTrace(traces[2], parseScheme(scheme), config));
     }
 }
 
@@ -214,8 +215,9 @@ TEST(DecodedTraceTest, RunnerGridsMatchLegacyAcrossJobCounts)
         ASSERT_EQ(grid.schemes.size(), schemes.size());
         for (std::size_t s = 0; s < schemes.size(); ++s)
             for (std::size_t t = 0; t < traces.size(); ++t)
-                expectIdentical(grid.schemes[s].perTrace[t],
-                                simulateTrace(traces[t], schemes[s]));
+                expectIdentical(
+                    grid.schemes[s].perTrace[t],
+                    simulateTrace(traces[t], parseScheme(schemes[s])));
         for (std::size_t c = 0; c < grid.cells.size(); ++c)
             EXPECT_EQ(grid.cells[c].refs,
                       traces[c % traces.size()].size());
@@ -248,9 +250,13 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
     const SimResult in_memory = [&] {
         const DecodedTrace decoded = decodeTraceFile(
             paths[0], defaultBlockBytes, SharingModel::ByProcess);
-        return simulateTrace(decoded, "Dir4NB");
+        return simulateTrace(decoded, parseScheme("Dir4NB"));
     }();
-    expectIdentical(simulateTraceFile(paths[0], "Dir4NB"), in_memory);
+    expectIdentical(runJob({TraceRef::file(paths[0]),
+                            parseScheme("Dir4NB"), {}},
+                           JobOptions{})
+                        .result,
+                    in_memory);
 }
 
 TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
@@ -261,12 +267,12 @@ TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
 
     SimConfig wrong_block;
     wrong_block.blockBytes = defaultBlockBytes * 2;
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_block),
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B"), wrong_block),
                  UsageError);
 
     SimConfig wrong_sharing;
     wrong_sharing.sharing = SharingModel::ByProcessor;
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_sharing),
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B"), wrong_sharing),
                  UsageError);
 
     // A protocol domain smaller than the stream's cache ids fails.
@@ -282,8 +288,8 @@ TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)
     const DecodedTrace decoded = decodeTrace(
         empty, defaultBlockBytes, SharingModel::ByProcess);
     EXPECT_EQ(decoded.numRecords(), 0u);
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B"), UsageError);
-    EXPECT_THROW(simulateTrace(empty, "Dir0B"), UsageError);
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B")), UsageError);
+    EXPECT_THROW(simulateTrace(empty, parseScheme("Dir0B")), UsageError);
 }
 
 } // namespace

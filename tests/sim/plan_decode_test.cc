@@ -308,6 +308,9 @@ TEST_F(PlanDecodeTest, FirstFailingStreamWinsAtAnyWorkerCount)
     };
     const std::string serial = error_at(1);
     EXPECT_NE(serial.find("bad magic"), std::string::npos) << serial;
+    EXPECT_NE(serial.find("trace file '" + garbage + "': "),
+              std::string::npos)
+        << serial;
     // The later corrupt file fails differently, so the check below
     // tells the two apart.
     jobs.erase(jobs.begin() + 1);

@@ -73,7 +73,7 @@ TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
     for (const auto &name : paperSchemes()) {
         std::vector<SimResult> row;
         for (const auto &trace : traces)
-            row.push_back(simulateTrace(trace, name));
+            row.push_back(simulateTrace(trace, parseScheme(name)));
         reference.push_back(std::move(row));
     }
 

@@ -76,7 +76,8 @@ TEST(ShardTest, ShardCountClampsToBlockCount)
     const auto traces = smallSuite();
     const DecodedTrace decoded = decodeTrace(
         traces[0], defaultBlockBytes, SharingModel::ByProcess);
-    const SimResult reference = simulateTrace(traces[0], "Dir1NB");
+    const SimResult reference =
+        simulateTrace(traces[0], parseScheme("Dir1NB"));
     // More shards than blocks: every block still lands in exactly
     // one shard and the result is unchanged.
     expectIdentical(simulateTraceSharded(decoded, parseScheme("Dir1NB"),
@@ -95,7 +96,7 @@ TEST(ShardTest, WarmupAndInvariantChecksMatchSharded)
         traces[2], config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "DirNNB", "DirCV"}) {
         const SimResult reference =
-            simulateTrace(traces[2], scheme, config);
+            simulateTrace(traces[2], parseScheme(scheme), config);
         for (const unsigned shards : {2u, 7u}) {
             expectIdentical(
                 simulateTraceSharded(decoded, parseScheme(scheme),

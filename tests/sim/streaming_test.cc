@@ -1,10 +1,10 @@
 /**
  * @file
- * File-vs-in-memory simulation equality: simulateTraceFile() and
- * runGrid() over TraceRef::file inputs, which decode each file in one
- * streaming read, must produce bit-identical SimResults to the
- * in-memory path for every paper scheme on every standard-suite
- * trace, over both container formats.
+ * File-vs-in-memory simulation equality: runJob() and runGrid() over
+ * TraceRef::file inputs, which decode each file in one streaming
+ * read, must produce bit-identical SimResults to the in-memory path
+ * for every paper scheme on every standard-suite trace, over both
+ * container formats.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "sim/decoded.hh"
 #include "sim/experiment.hh"
 #include "sim/suite.hh"
 #include "test_util.hh"
@@ -49,6 +50,16 @@ expectIdentical(const SimResult &a, const SimResult &b)
         << a.scheme << "/" << a.traceName;
 }
 
+/** One file cell through the job engine (one streaming decode). */
+SimResult
+simulateFile(const std::string &path, const std::string &scheme,
+             const SimConfig &config = {})
+{
+    return runJob({TraceRef::file(path), parseScheme(scheme), config},
+                  JobOptions{})
+        .result;
+}
+
 /** Write every suite trace to a binary v2 file; return the paths. */
 std::vector<std::string>
 writeSuiteFiles(const std::vector<Trace> &traces)
@@ -75,9 +86,8 @@ TEST(StreamingSimTest, FileStreamingIsBitIdenticalToInMemory)
     for (const auto &scheme : paperSchemes()) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
             const SimResult in_memory =
-                simulateTrace(traces[t], scheme);
-            const SimResult streamed =
-                simulateTraceFile(paths[t], scheme);
+                simulateTrace(traces[t], parseScheme(scheme));
+            const SimResult streamed = simulateFile(paths[t], scheme);
             expectIdentical(streamed, in_memory);
         }
     }
@@ -89,8 +99,8 @@ TEST(StreamingSimTest, TextContainerStreamsIdenticallyToo)
     const std::string path = testing::TempDir() + "/streaming_text_"
         + std::to_string(::getpid()) + ".txt";
     writeTextTraceFile(traces[0], path);
-    expectIdentical(simulateTraceFile(path, "Dir1NB"),
-                    simulateTrace(traces[0], "Dir1NB"));
+    expectIdentical(simulateFile(path, "Dir1NB"),
+                    simulateTrace(traces[0], parseScheme("Dir1NB")));
 }
 
 TEST(StreamingSimTest, WarmupAppliesIdenticallyWhenStreaming)
@@ -99,21 +109,24 @@ TEST(StreamingSimTest, WarmupAppliesIdenticallyWhenStreaming)
     const auto paths = writeSuiteFiles(traces);
     SimConfig config;
     config.warmupRefs = 5'000;
-    expectIdentical(simulateTraceFile(paths[2], "Dir4NB", config),
-                    simulateTrace(traces[2], "Dir4NB", config));
+    expectIdentical(simulateFile(paths[2], "Dir4NB", config),
+                    simulateTrace(traces[2], parseScheme("Dir4NB"), config));
 }
 
-TEST(StreamingSimTest, ScanTraceFileReportsTheTrace)
+TEST(StreamingSimTest, DecodeTraceFileReportsTheTrace)
 {
     const auto traces = smallSuite();
     const auto paths = writeSuiteFiles(traces);
     for (std::size_t t = 0; t < traces.size(); ++t) {
-        const auto info =
-            scanTraceFile(paths[t], SharingModel::ByProcess);
-        EXPECT_EQ(info.name, traces[t].name());
-        EXPECT_EQ(info.records, traces[t].size());
-        EXPECT_EQ(info.caches,
-                  cachesNeeded(traces[t], SharingModel::ByProcess));
+        for (const SharingModel sharing :
+             {SharingModel::ByProcess, SharingModel::ByProcessor}) {
+            const DecodedTrace decoded =
+                decodeTraceFile(paths[t], defaultBlockBytes, sharing);
+            EXPECT_EQ(decoded.name, traces[t].name());
+            EXPECT_EQ(decoded.numRecords(), traces[t].size());
+            EXPECT_EQ(decoded.cachesNeeded,
+                      cachesNeeded(traces[t], sharing));
+        }
     }
 }
 
@@ -149,7 +162,7 @@ TEST(StreamingSimTest, RunFilesMatchesRunAcrossJobCounts)
 
 TEST(StreamingSimTest, MissingOrCorruptFilesFailCleanly)
 {
-    EXPECT_THROW(simulateTraceFile("/nonexistent/x.trace", "Dir0B"),
+    EXPECT_THROW(simulateFile("/nonexistent/x.trace", "Dir0B"),
                  UsageError);
     const std::string path = testing::TempDir() + "/streaming_bad_"
         + std::to_string(::getpid()) + ".txt";
@@ -159,7 +172,7 @@ TEST(StreamingSimTest, MissingOrCorruptFilesFailCleanly)
         std::ofstream os(path, std::ios::app);
         os << "0 1 read zzz -\n";
     }
-    EXPECT_THROW(simulateTraceFile(path, "Dir0B"), UsageError);
+    EXPECT_THROW(simulateFile(path, "Dir0B"), UsageError);
     EXPECT_THROW(runGrid({parseScheme("Dir0B")}, {TraceRef::file(path)}),
                  UsageError);
 }

@@ -191,8 +191,9 @@ TEST(GeneratorTest, SystemRefsUseKernelAddresses)
 {
     const Trace trace = generateTrace("pops", testRefs, 37);
     for (const auto &record : trace) {
-        if (record.isSystem())
+        if (record.isSystem()) {
             ASSERT_GE(record.addr, AddressSpace::kernelCodeBase);
+        }
     }
 }
 
