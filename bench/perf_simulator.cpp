@@ -19,7 +19,7 @@
  *
  * After the microbenchmarks, two timed grids are recorded as
  * structured artifacts (manifest + per-cell throughput metrics,
- * obs/sink.hh) to BENCH_8.json — the repo's perf trajectory file —
+ * obs/sink.hh) to BENCH_9.json — the repo's perf trajectory file —
  * compared record-by-record by bench/compare_bench.py:
  *
  *  - the paper grid, along with two engine measurements: the
@@ -430,7 +430,7 @@ main(int argc, char **argv)
 
     const char *override_path = std::getenv("DIRSIM_BENCH_JSON");
     const std::string out =
-        override_path ? override_path : "BENCH_8.json";
+        override_path ? override_path : "BENCH_9.json";
     if (out.empty())
         return 0;
     try {

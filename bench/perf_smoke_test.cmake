@@ -28,5 +28,5 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR
         "grid throughput regressed vs the committed baseline "
         "(rc=${rc}); rerun on an idle host, then investigate the "
-        "decode/dense hot path before updating BENCH_8.json")
+        "decode/dense hot path before updating BENCH_9.json")
 endif()

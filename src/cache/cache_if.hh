@@ -30,28 +30,54 @@ inline constexpr CacheBlockState stateNotPresent = 0;
  * Abstract per-process cache holding protocol state per block.
  *
  * Implementations: InfiniteCache (the paper's model, no replacement)
- * and FiniteCache (set-associative LRU with eviction callbacks).
+ * and FiniteCache (set-associative LRU, which hands its victims back
+ * to the caller).
  */
 class CacheModel
 {
   public:
-    /** Callback invoked with (block key, state) on a replacement. */
-    using EvictionHook = std::function<void(BlockNum, CacheBlockState)>;
+    /** A resident block and its state. */
+    struct Line
+    {
+        BlockNum block = 0;
+        CacheBlockState state = stateNotPresent;
+    };
 
     virtual ~CacheModel() = default;
 
     /**
-     * State of @p block, or stateNotPresent.
+     * State of @p block, or stateNotPresent. Leaves replacement
+     * metadata alone.
      */
     virtual CacheBlockState lookup(BlockNum block) const = 0;
 
     /**
-     * Install or update @p block with @p state.
+     * lookup() on behalf of a reference: a resident block also
+     * becomes most-recently-used (one probe for both).
+     */
+    virtual CacheBlockState access(BlockNum block) = 0;
+
+    /**
+     * Install or update @p block with @p state; either way it becomes
+     * most-recently-used.
      *
      * @param state must not be stateNotPresent (panics otherwise)
+     * @param victim when replacement evicts a line to make room, the
+     *        evicted line is stored here (left untouched otherwise);
+     *        nullptr drops it
      * @return true if the block was newly installed
      */
-    virtual bool set(BlockNum block, CacheBlockState state) = 0;
+    virtual bool set(BlockNum block, CacheBlockState state,
+                     Line *victim = nullptr) = 0;
+
+    /**
+     * Change the state of @p block if it is resident (making it
+     * most-recently-used, as set() does); never installs.
+     *
+     * @param state must not be stateNotPresent
+     * @return false when @p block is not resident
+     */
+    virtual bool update(BlockNum block, CacheBlockState state) = 0;
 
     /**
      * Remove @p block.
@@ -72,12 +98,6 @@ class CacheModel
         const = 0;
 
     /**
-     * Mark @p block most-recently-used (replacement metadata only).
-     * No-op for caches without replacement.
-     */
-    virtual void touch(BlockNum block) { (void)block; }
-
-    /**
      * Size the cache for block keys in [0, @p block_count): the
      * densified block indices of a decoded trace (sim/decoded.hh).
      * Must be called on an empty cache, before the first set().
@@ -89,12 +109,6 @@ class CacheModel
      */
     virtual void reserveBlocks(std::uint64_t block_count,
                                const BlockNum *block_labels = nullptr) = 0;
-
-    /**
-     * Register the hook invoked when replacement evicts a block.
-     * No-op for caches that never evict.
-     */
-    virtual void setEvictionHook(EvictionHook hook) { (void)hook; }
 
     bool contains(BlockNum block) const
     {

@@ -1,5 +1,7 @@
 #include "cache/finite_cache.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -31,26 +33,36 @@ FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg)
     : cfg(config_arg)
 {
     cfg.check();
-    sets.resize(cfg.numSets());
+    lines.resize(cfg.numSets() * cfg.ways);
+    setMask = cfg.numSets() - 1;
 }
 
 std::size_t
-FiniteCache::setIndex(BlockNum block) const
+FiniteCache::setBase(BlockNum block) const
 {
     const BlockNum real = labels != nullptr ? labels[block] : block;
-    return real & (sets.size() - 1);
+    return (real & setMask) * cfg.ways;
 }
 
-FiniteCache::Set &
-FiniteCache::setFor(BlockNum block)
+unsigned
+FiniteCache::find(const Line *set, BlockNum block) const
 {
-    return sets[setIndex(block)];
+    // Lines are packed: the first empty way ends the resident ones.
+    for (unsigned way = 0; way < cfg.ways; ++way) {
+        if (set[way].state == stateNotPresent)
+            break;
+        if (set[way].block == block)
+            return way;
+    }
+    return cfg.ways;
 }
 
-const FiniteCache::Set &
-FiniteCache::setFor(BlockNum block) const
+void
+FiniteCache::promote(Line *set, unsigned way)
 {
-    return sets[setIndex(block)];
+    const Line line = set[way];
+    std::copy_backward(set, set + way, set + way + 1);
+    set[0] = line;
 }
 
 void
@@ -64,59 +76,82 @@ FiniteCache::reserveBlocks(std::uint64_t, const BlockNum *block_labels)
 CacheBlockState
 FiniteCache::lookup(BlockNum block) const
 {
-    for (const auto &line : setFor(block)) {
-        if (line.block == block)
-            return line.state;
-    }
-    return stateNotPresent;
+    const Line *set = lines.data() + setBase(block);
+    const unsigned way = find(set, block);
+    return way != cfg.ways ? set[way].state : stateNotPresent;
+}
+
+CacheBlockState
+FiniteCache::access(BlockNum block)
+{
+    Line *set = lines.data() + setBase(block);
+    const unsigned way = find(set, block);
+    if (way == cfg.ways)
+        return stateNotPresent;
+    const CacheBlockState state = set[way].state;
+    promote(set, way);
+    return state;
 }
 
 bool
-FiniteCache::set(BlockNum block, CacheBlockState state)
+FiniteCache::set(BlockNum block, CacheBlockState state, Line *victim)
 {
     panicIfNot(state != stateNotPresent,
                "FiniteCache::set with the reserved not-present state");
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            it->state = state;
-            s.splice(s.begin(), s, it); // promote to MRU
-            return false;
-        }
+    Line *set = lines.data() + setBase(block);
+    const unsigned way = find(set, block);
+    if (way != cfg.ways) {
+        set[way].state = state;
+        promote(set, way);
+        return false;
     }
-    if (s.size() == cfg.ways) {
-        const Line victim = s.back();
-        s.pop_back();
+    // Shift every way down one: the last way falls off, and it is
+    // the LRU victim when the set is full.
+    const unsigned last = cfg.ways - 1;
+    if (set[last].state != stateNotPresent) {
+        if (victim != nullptr)
+            *victim = set[last];
         --resident;
         ++evicted;
-        if (onEvict)
-            onEvict(victim.block, victim.state);
     }
-    s.push_front(Line{block, state});
+    std::copy_backward(set, set + last, set + last + 1);
+    set[0] = Line{block, state};
     ++resident;
+    return true;
+}
+
+bool
+FiniteCache::update(BlockNum block, CacheBlockState state)
+{
+    panicIfNot(state != stateNotPresent,
+               "FiniteCache::update with the reserved not-present state");
+    Line *set = lines.data() + setBase(block);
+    const unsigned way = find(set, block);
+    if (way == cfg.ways)
+        return false;
+    set[way].state = state;
+    promote(set, way);
     return true;
 }
 
 CacheBlockState
 FiniteCache::invalidate(BlockNum block)
 {
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            const CacheBlockState old = it->state;
-            s.erase(it);
-            --resident;
-            return old;
-        }
-    }
-    return stateNotPresent;
+    Line *set = lines.data() + setBase(block);
+    const unsigned way = find(set, block);
+    if (way == cfg.ways)
+        return stateNotPresent;
+    const CacheBlockState old = set[way].state;
+    std::copy(set + way + 1, set + cfg.ways, set + way);
+    set[cfg.ways - 1] = Line{};
+    --resident;
+    return old;
 }
 
 void
 FiniteCache::clear()
 {
-    for (auto &s : sets)
-        s.clear();
+    std::fill(lines.begin(), lines.end(), Line{});
     resident = 0;
 }
 
@@ -124,21 +159,9 @@ void
 FiniteCache::forEach(
     const std::function<void(BlockNum, CacheBlockState)> &fn) const
 {
-    for (const auto &s : sets) {
-        for (const auto &line : s)
+    for (const Line &line : lines) {
+        if (line.state != stateNotPresent)
             fn(line.block, line.state);
-    }
-}
-
-void
-FiniteCache::touch(BlockNum block)
-{
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            s.splice(s.begin(), s, it);
-            return;
-        }
     }
 }
 

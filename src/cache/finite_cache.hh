@@ -9,7 +9,6 @@
 #ifndef DIRSIM_CACHE_FINITE_CACHE_HH
 #define DIRSIM_CACHE_FINITE_CACHE_HH
 
-#include <list>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -35,18 +34,24 @@ struct FiniteCacheConfig
 };
 
 /**
- * Set-associative LRU cache with an eviction callback.
+ * Set-associative LRU cache that reports its victims.
  *
- * The protocol engine registers the callback so an evicted dirty
- * block can be written back and the directory updated, keeping the
- * global coherence state consistent.
+ * set() hands each line that LRU replacement evicts back to its
+ * caller, so the protocol engine can write an evicted dirty block
+ * back and update the directory, keeping the global coherence state
+ * consistent.
  *
  * Block keys are the engine's densified block indices; the set is
  * chosen by the key's original block number (the labels passed to
  * reserveBlocks()), so set placement, LRU order, and therefore every
  * eviction are those of a cache indexed by real addresses. Lines and
- * the eviction hook carry the key itself. Without labels every key
- * is its own block number.
+ * victims carry the key itself. Without labels every key is its own
+ * block number.
+ *
+ * Storage is one flat array of sets × ways lines. Each set's lines
+ * are packed most-recently-used first, empty ways (state
+ * stateNotPresent) last; promoting, installing and invalidating
+ * shift the lines between, so the way order *is* the LRU order.
  */
 class FiniteCache : public CacheModel
 {
@@ -54,26 +59,16 @@ class FiniteCache : public CacheModel
     explicit FiniteCache(const FiniteCacheConfig &config_arg);
 
     CacheBlockState lookup(BlockNum block) const override;
-    bool set(BlockNum block, CacheBlockState state) override;
+    CacheBlockState access(BlockNum block) override;
+    bool set(BlockNum block, CacheBlockState state,
+             Line *victim = nullptr) override;
+    bool update(BlockNum block, CacheBlockState state) override;
     CacheBlockState invalidate(BlockNum block) override;
     std::size_t residentBlocks() const override { return resident; }
     void clear() override;
     void forEach(
         const std::function<void(BlockNum, CacheBlockState)> &fn)
         const override;
-
-    /**
-     * Register the hook invoked with (block, state) each time LRU
-     * replacement evicts a block.
-     */
-    void
-    setEvictionHook(EvictionHook hook) override
-    {
-        onEvict = std::move(hook);
-    }
-
-    /** Mark @p block most-recently-used without changing its state. */
-    void touch(BlockNum block) override;
 
     /** Index sets by @p block_labels[key] from now on (see above). */
     void reserveBlocks(std::uint64_t block_count,
@@ -85,24 +80,27 @@ class FiniteCache : public CacheModel
     std::uint64_t evictions() const { return evicted; }
 
   private:
-    struct Line
-    {
-        BlockNum block;
-        CacheBlockState state;
-    };
-    /** One LRU list per set: front == most recently used. */
-    using Set = std::list<Line>;
+    /**
+     * Index in lines of the first way of @p block's set, chosen by
+     * its real block number's low bits.
+     */
+    std::size_t setBase(BlockNum block) const;
 
-    /** Set of @p block: its real block number's low bits. */
-    std::size_t setIndex(BlockNum block) const;
-    Set &setFor(BlockNum block);
-    const Set &setFor(BlockNum block) const;
+    /**
+     * Way of @p block in the set starting at @p set, or cfg.ways when
+     * it is not resident.
+     */
+    unsigned find(const Line *set, BlockNum block) const;
+
+    /** Move way @p way of @p set to the front (most-recently-used). */
+    void promote(Line *set, unsigned way);
 
     FiniteCacheConfig cfg;
-    std::vector<Set> sets;
+    /** numSets × ways lines; see the class comment for the order. */
+    std::vector<Line> lines;
+    std::uint64_t setMask = 0;
     std::size_t resident = 0;
     std::uint64_t evicted = 0;
-    EvictionHook onEvict;
     /** Original block number per key; nullptr = identity. */
     const BlockNum *labels = nullptr;
 };

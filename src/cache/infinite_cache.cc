@@ -12,7 +12,7 @@ InfiniteCache::lookup(BlockNum block) const
 }
 
 bool
-InfiniteCache::set(BlockNum block, CacheBlockState state)
+InfiniteCache::set(BlockNum block, CacheBlockState state, Line *)
 {
     panicIfNot(state != stateNotPresent,
                "InfiniteCache::set with the reserved not-present state");
@@ -25,6 +25,18 @@ InfiniteCache::set(BlockNum block, CacheBlockState state)
     slot = state;
     resident += inserted ? 1 : 0;
     return inserted;
+}
+
+bool
+InfiniteCache::update(BlockNum block, CacheBlockState state)
+{
+    panicIfNot(state != stateNotPresent,
+               "InfiniteCache::update with the reserved not-present "
+               "state");
+    if (lookup(block) == stateNotPresent)
+        return false;
+    states[block] = state;
+    return true;
 }
 
 CacheBlockState

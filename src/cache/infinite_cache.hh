@@ -29,7 +29,15 @@ class InfiniteCache : public CacheModel
     InfiniteCache() = default;
 
     CacheBlockState lookup(BlockNum block) const override;
-    bool set(BlockNum block, CacheBlockState state) override;
+    /** lookup(): an infinite cache keeps no replacement order. */
+    CacheBlockState access(BlockNum block) override
+    {
+        return lookup(block);
+    }
+    /** Never evicts, so @p victim is never written. */
+    bool set(BlockNum block, CacheBlockState state,
+             Line *victim = nullptr) override;
+    bool update(BlockNum block, CacheBlockState state) override;
     CacheBlockState invalidate(BlockNum block) override;
     std::size_t residentBlocks() const override { return resident; }
     void clear() override;

@@ -20,10 +20,6 @@ CoherenceProtocol::CoherenceProtocol(unsigned num_caches_arg,
             caches.push_back(std::make_unique<InfiniteCache>());
         fatalIf(caches.back() == nullptr,
                 "the cache factory returned a null cache");
-        caches.back()->setEvictionHook(
-            [this, cache](BlockNum block, CacheBlockState state) {
-                handleEviction(cache, block, state);
-            });
     }
 }
 
@@ -182,10 +178,8 @@ CoherenceProtocol::processRead(CacheId cache, BlockNum block,
     eventCounts.add(EventType::Read);
 
     if (oracleMode ? holderSets.contains(block, cache)
-                   : caches[cache]->contains(block)) {
+                   : caches[cache]->access(block) != stateNotPresent) {
         eventCounts.add(EventType::RdHit);
-        if (!oracleMode)
-            caches[cache]->touch(block);
         return;
     }
 
@@ -211,11 +205,10 @@ CoherenceProtocol::processWrite(CacheId cache, BlockNum block,
     checkRef(cache, block);
     eventCounts.add(EventType::Write);
 
-    const CacheBlockState state = stateOf(cache, block);
+    const CacheBlockState state =
+        oracleMode ? stateOf(cache, block) : caches[cache]->access(block);
     if (state != stateNotPresent) {
         eventCounts.add(EventType::WrtHit);
-        if (!oracleMode)
-            caches[cache]->touch(block);
         handleWriteHit(cache, block, state);
         return;
     }
@@ -376,13 +369,17 @@ void
 CoherenceProtocol::install(CacheId cache, BlockNum block,
                            CacheBlockState state)
 {
-    // Order matters with finite caches: the insertion may trigger an
-    // eviction whose hook edits the holder oracle, so the oracle
+    // Order matters with finite caches: the insertion may evict a
+    // line, whose handling edits the holder oracle, so the oracle
     // entry for the new block is added afterwards. In oracle mode
     // the oracle *is* the cache state, so there is nothing else to
     // write.
-    if (!oracleMode)
-        caches[cache]->set(block, state);
+    if (!oracleMode) {
+        CacheModel::Line victim;
+        caches[cache]->set(block, state, &victim);
+        if (victim.state != stateNotPresent)
+            handleEviction(cache, victim.block, victim.state);
+    }
     holderSets.add(block, cache);
     noteOwner(cache, block, state);
 }
@@ -398,10 +395,9 @@ CoherenceProtocol::setState(CacheId cache, BlockNum block,
             panic(name(), ": setState for a block cache ", cache,
                   " does not hold");
     } else {
-        if (!caches[cache]->contains(block)) [[unlikely]]
+        if (!caches[cache]->update(block, state)) [[unlikely]]
             panic(name(), ": setState for a block cache ", cache,
                   " does not hold");
-        caches[cache]->set(block, state);
     }
     noteOwner(cache, block, state);
 }

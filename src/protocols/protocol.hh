@@ -73,8 +73,14 @@ class CoherenceProtocol
     /** Process one data write; parameters as read(). */
     void write(CacheId cache, BlockNum block, bool first_ref);
 
-    /** Count an instruction fetch (never causes coherence traffic). */
-    void instruction() { eventCounts.add(EventType::Instr); }
+    /**
+     * Count @p count instruction fetches (they never cause coherence
+     * traffic; the decoded stream carries them as run lengths).
+     */
+    void instructions(std::uint64_t count)
+    {
+        eventCounts.add(EventType::Instr, count);
+    }
 
     /**
      * Attach a per-reference trace sink (nullptr detaches).
@@ -268,7 +274,11 @@ class CoherenceProtocol
     OpCounts opCounts;
 
   private:
-    /** Replacement evicted a block: write back, update the oracle. */
+    /**
+     * Replacement evicted @p block (in @p state) from @p cache, which
+     * install() passes on from the cache's set(): write back, update
+     * the oracle.
+     */
     void handleEviction(CacheId cache, BlockNum block,
                         CacheBlockState state);
 

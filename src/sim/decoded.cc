@@ -1,5 +1,7 @@
 #include "sim/decoded.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/dense_id_map.hh"
 #include "common/logging.hh"
@@ -16,7 +18,23 @@ DecodedTrace::memoryBytes() const
     return ops.size() * sizeof(std::uint8_t)
         + blocks.size() * sizeof(std::uint32_t)
         + caches.size() * sizeof(CacheId)
+        + instrRuns.size() * sizeof(std::uint16_t)
+        + longInstrRuns.size() * sizeof(LongInstrRun)
         + denseToBlock.size() * sizeof(BlockNum);
+}
+
+std::uint64_t
+DecodedTrace::longInstrRun(std::uint64_t ref) const
+{
+    const auto it = std::lower_bound(
+        longInstrRuns.begin(), longInstrRuns.end(), ref,
+        [](const LongInstrRun &run, std::uint64_t key) {
+            return run.ref < key;
+        });
+    panicIfNot(it != longInstrRuns.end() && it->ref == ref,
+               "decoded trace: data ref ", ref,
+               " has an escaped instruction run but no long run");
+    return it->instrs;
 }
 
 DecodedTrace
@@ -30,42 +48,46 @@ decodeTrace(TraceSource &source, unsigned block_bytes,
     out.sharing = sharing;
 
     if (const auto hint = source.sizeHint()) {
+        // An upper bound (instructions take no row); the pages a
+        // shorter stream never fills are never touched.
         out.ops.reserve(*hint);
         out.blocks.reserve(*hint);
         out.caches.reserve(*hint);
+        out.instrRuns.reserve(*hint);
     }
 
     // Sizing state follows cachesNeeded(Trace, ...): distinct pids
     // over *all* records / the maximum CPU index. The mapping state
     // mirrors the simulation loop: dense ids handed out in order of
     // first appearance over *data* records only. DenseIdMap rather than
-    // std::unordered_map: these three insert-or-finds per record are
-    // the whole decode pass, and the flat table halves its cost.
+    // std::unordered_map: these insert-or-finds per record are the
+    // whole decode pass, and the flat table halves its cost. A data
+    // record hashes its pid once, into cache_ids; sizing_pids hears of
+    // it only on the pid's first data sighting.
     DenseIdMap sizing_pids;
     unsigned max_cpu = 0;
     DenseIdMap cache_ids;
     DenseIdMap block_ids;
+    std::uint64_t run = 0; // instructions since the last data ref
 
     TraceRecord record;
     while (source.next(record)) {
-        if (sharing == SharingModel::ByProcess)
-            sizing_pids.idFor(record.pid);
-        else if (record.cpu > max_cpu)
+        if (sharing == SharingModel::ByProcessor && record.cpu > max_cpu)
             max_cpu = record.cpu;
 
         if (record.isInstr()) {
-            // Zero-filled so the arrays stay index-aligned; the op
-            // kind alone routes the record.
-            out.ops.push_back(decodedOpInstr);
-            out.blocks.push_back(0);
-            out.caches.push_back(0);
+            if (sharing == SharingModel::ByProcess)
+                sizing_pids.idFor(record.pid);
+            ++run;
             continue;
         }
 
         const std::uint64_t key = sharing == SharingModel::ByProcess
             ? static_cast<std::uint64_t>(record.pid)
             : static_cast<std::uint64_t>(record.cpu);
-        const CacheId cache = cache_ids.idFor(key).first;
+        const auto [cache, first_cache_ref] = cache_ids.idFor(key);
+        if (first_cache_ref && sharing == SharingModel::ByProcess)
+            sizing_pids.idFor(record.pid);
 
         const BlockNum block =
             blockNumber(record.addr, block_bytes);
@@ -77,11 +99,21 @@ decodeTrace(TraceSource &source, unsigned block_bytes,
                                           : decodedOpWrite;
         if (first_ref)
             op |= decodedOpFirstRef;
+        if (run >= instrRunEscape) {
+            out.longInstrRuns.push_back({out.dataRefs, run});
+            out.instrRuns.push_back(instrRunEscape);
+        } else {
+            out.instrRuns.push_back(static_cast<std::uint16_t>(run));
+        }
+        out.instrs += run;
+        run = 0;
         out.ops.push_back(op);
         out.blocks.push_back(dense_block);
         out.caches.push_back(cache);
         ++out.dataRefs;
     }
+    out.trailingInstrs = run;
+    out.instrs += run;
 
     out.name = source.name();
     out.cachesUsed = static_cast<unsigned>(cache_ids.size());
@@ -107,14 +139,9 @@ DecodedTrace
 decodeTraceFile(const std::string &path, unsigned block_bytes,
                 SharingModel sharing)
 {
-    try {
-        const auto source = openTraceSource(path);
-        return decodeTrace(*source, block_bytes, sharing);
-    } catch (const UsageError &error) {
-        // Name the file: a grid over many files must say which one
-        // is bad.
-        throw UsageError("trace file '" + path + "': " + error.what());
-    }
+    // The reader names the file in every error it raises.
+    const auto source = openTraceSource(path);
+    return decodeTrace(*source, block_bytes, sharing);
 }
 
 void
@@ -150,6 +177,34 @@ measuredResult(const DecodedTrace &decoded,
     return result;
 }
 
+WarmupPoint
+locateWarmup(const DecodedTrace &decoded, std::uint64_t warmup_refs)
+{
+    WarmupPoint point;
+    if (warmup_refs == 0)
+        return point;
+    fatalIf(warmup_refs >= decoded.numRecords(),
+            "warm-up of ", warmup_refs,
+            " references consumed the whole trace (",
+            decoded.numRecords(), " references)");
+    // Walk the runs: data ref i sits at global record index
+    // before + instrsBefore(i), where before counts every record of
+    // the refs ahead of it.
+    std::uint64_t before = 0;
+    for (std::uint64_t i = 0; i < decoded.dataRefs; ++i) {
+        const std::uint64_t run = decoded.instrsBefore(i);
+        if (warmup_refs <= before + run) {
+            point.ref = i;
+            point.instrs = warmup_refs - before;
+            return point;
+        }
+        before += run + 1;
+    }
+    point.ref = decoded.dataRefs;
+    point.instrs = warmup_refs - before;
+    return point;
+}
+
 SimResult
 simulateTrace(const DecodedTrace &decoded,
               CoherenceProtocol &protocol, const SimConfig &config)
@@ -163,6 +218,8 @@ simulateTrace(const DecodedTrace &decoded,
     fatalIf(decoded.cachesUsed > protocol.numCaches(),
             "trace needs more than ", protocol.numCaches(),
             " caches; build the protocol with a larger domain");
+    fatalIf(decoded.numRecords() == 0, "cannot simulate an empty trace");
+    const WarmupPoint warm = locateWarmup(decoded, config.warmupRefs);
 
     if (config.traceSink != nullptr)
         protocol.attachTracer(config.traceSink);
@@ -170,30 +227,27 @@ simulateTrace(const DecodedTrace &decoded,
     protocol.reserveBlocks(decoded.blockCount(),
                            decoded.denseToBlock.data());
 
-    std::uint64_t data_refs = 0;
-    std::uint64_t processed = 0;
-
     WarmupSnapshot warmup;
-    bool warmup_taken = config.warmupRefs == 0;
-
     PhaseBreakdown phases;
     const std::uint64_t loop_start = PhaseTimer::nowNs();
     std::uint64_t measure_start = loop_start;
+    // The warm-up ends warm.instrs into a run of @p instrs: count
+    // those, snapshot, and return the rest of the run.
+    const auto warm_up = [&](std::uint64_t instrs) {
+        protocol.instructions(warm.instrs);
+        warmup.take(protocol);
+        measure_start = PhaseTimer::nowNs();
+        phases.add(Phase::Warmup, measure_start - loop_start);
+        return instrs - warm.instrs;
+    };
 
-    const std::uint64_t num_records = decoded.numRecords();
-    for (std::uint64_t i = 0; i < num_records; ++i) {
-        if (!warmup_taken && processed >= config.warmupRefs) {
-            warmup.take(protocol);
-            warmup_taken = true;
-            measure_start = PhaseTimer::nowNs();
-            phases.add(Phase::Warmup, measure_start - loop_start);
-        }
-        ++processed;
+    const std::uint64_t data_refs = decoded.dataRefs;
+    for (std::uint64_t i = 0; i < data_refs; ++i) {
+        std::uint64_t instrs = decoded.instrsBefore(i);
+        if (i == warm.ref) [[unlikely]]
+            instrs = warm_up(instrs);
+        protocol.instructions(instrs);
         const std::uint8_t op = decoded.ops[i];
-        if ((op & decodedOpKindMask) == decodedOpInstr) {
-            protocol.instruction();
-            continue;
-        }
         const CacheId cache = decoded.caches[i];
         const BlockNum block = decoded.blocks[i];
         const bool first_ref = (op & decodedOpFirstRef) != 0;
@@ -201,19 +255,17 @@ simulateTrace(const DecodedTrace &decoded,
             protocol.read(cache, block, first_ref);
         else
             protocol.write(cache, block, first_ref);
-        ++data_refs;
         if (config.invariantCheckPeriod != 0
-            && data_refs % config.invariantCheckPeriod == 0) {
+            && (i + 1) % config.invariantCheckPeriod == 0) {
             protocol.checkAllInvariants();
         }
     }
-    fatalIf(processed == 0, "cannot simulate an empty trace");
+    std::uint64_t trailing = decoded.trailingInstrs;
+    if (warm.ref == data_refs)
+        trailing = warm_up(trailing);
+    protocol.instructions(trailing);
     if (config.invariantCheckPeriod != 0)
         protocol.checkAllInvariants();
-    fatalIf(!warmup_taken,
-            "warm-up of ", config.warmupRefs,
-            " references consumed the whole trace (",
-            processed, " references)");
     const std::uint64_t loop_end = PhaseTimer::nowNs();
     phases.add(Phase::Simulate, loop_end - measure_start);
 

@@ -7,9 +7,14 @@
  * into block numbers, re-discovers first references, and re-maps pids
  * onto caches — identical work per cell. DecodedTrace performs that
  * work exactly once: a single pass over a Trace or TraceSource emits
- * a compact structure-of-arrays record stream (op kind + first-ref
- * flag, densified block index, dense cache id) plus the exact block,
- * cache, and reference counts a simulation needs.
+ * a compact structure-of-arrays stream of the *data* references (op
+ * kind + first-ref flag, densified block index, dense cache id, and
+ * the length of the instruction run just before the reference) plus
+ * the exact block, cache, and reference counts a simulation needs.
+ * Instruction fetches never cause coherence traffic, so they survive
+ * only as run lengths: the engine adds each run to the Instr count
+ * before the reference that follows it, which keeps every counter,
+ * the warm-up boundary, and every traced reference ordinal exact.
  *
  * The densified block index is the key enabler: with blocks numbered
  * 0..blockCount-1 in order of first appearance, every per-block store
@@ -39,31 +44,55 @@ namespace dirsim
 {
 
 /** DecodedTrace::ops encoding: low bits = kind, bit 4 = first ref. */
-constexpr std::uint8_t decodedOpInstr = 0;
 constexpr std::uint8_t decodedOpRead = 1;
 constexpr std::uint8_t decodedOpWrite = 2;
 constexpr std::uint8_t decodedOpKindMask = 0x03;
 constexpr std::uint8_t decodedOpFirstRef = 0x10;
 
 /**
+ * DecodedTrace::instrRuns value meaning "65535 or more instructions":
+ * the exact count is in DecodedTrace::longInstrRuns.
+ */
+constexpr std::uint16_t instrRunEscape = 0xffff;
+
+/**
  * A trace decoded into simulation operands (see the file comment).
  *
- * The three record arrays are index-aligned with the source record
- * order; instruction rows carry zeros in blocks[]/caches[] so the
- * arrays never need separate cursors. The struct is immutable after
- * decoding and safe to share read-only across concurrent simulations
- * (the runner decodes each trace once per grid).
+ * The four per-reference arrays hold one entry per data reference,
+ * index-aligned, in source order; instructions exist only as run
+ * lengths (instrRuns, longInstrRuns, trailingInstrs). The struct is
+ * immutable after decoding and safe to share read-only across
+ * concurrent simulations (the runner decodes each trace once per
+ * grid).
  */
 struct DecodedTrace
 {
     std::string name; ///< workload name (trace/file header)
 
-    /** decodedOp* kind plus the decodedOpFirstRef flag. */
+    /** decodedOpRead/Write plus the decodedOpFirstRef flag. */
     std::vector<std::uint8_t> ops;
     /** Densified block index (first-appearance order over data refs). */
     std::vector<std::uint32_t> blocks;
     /** Dense cache id (first-appearance order over data refs). */
     std::vector<CacheId> caches;
+    /**
+     * Instructions between the previous data reference (or the start
+     * of the trace) and this one; instrRunEscape for a run of 65535 or
+     * more, whose length is in longInstrRuns.
+     */
+    std::vector<std::uint16_t> instrRuns;
+
+    /** An escaped instrRuns entry: the data ref and its run length. */
+    struct LongInstrRun
+    {
+        std::uint64_t ref;
+        std::uint64_t instrs;
+    };
+    /** The escaped runs, in ascending ref order. */
+    std::vector<LongInstrRun> longInstrRuns;
+    /** Instructions after the last data reference. */
+    std::uint64_t trailingInstrs = 0;
+
     /** Dense block index -> original block number. */
     std::vector<BlockNum> denseToBlock;
 
@@ -86,9 +115,18 @@ struct DecodedTrace
     unsigned cachesUsed = 0;
     /** Data references in the stream (reads + writes). */
     std::uint64_t dataRefs = 0;
+    /** Instruction records in the stream. */
+    std::uint64_t instrs = 0;
 
     /** Total records (instructions included). */
-    std::uint64_t numRecords() const { return ops.size(); }
+    std::uint64_t numRecords() const { return dataRefs + instrs; }
+
+    /** Instructions just before data reference @p ref. */
+    std::uint64_t instrsBefore(std::uint64_t ref) const
+    {
+        const std::uint16_t run = instrRuns[ref];
+        return run != instrRunEscape ? run : longInstrRun(ref);
+    }
 
     /** Distinct blocks the data references touch. */
     std::uint32_t blockCount() const
@@ -98,6 +136,10 @@ struct DecodedTrace
 
     /** Heap bytes held by the record arrays (for diagnostics). */
     std::uint64_t memoryBytes() const;
+
+  private:
+    /** The escaped run of data reference @p ref (out of line: rare). */
+    std::uint64_t longInstrRun(std::uint64_t ref) const;
 };
 
 /**
@@ -119,7 +161,8 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
  * size, sharing) stream.
  *
  * @throws UsageError when the file cannot be opened or is malformed;
- *         the message starts with "trace file '<path>': "
+ *         the message starts with "trace file '<path>': " (see
+ *         openTraceSource())
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,

@@ -38,6 +38,29 @@ struct WarmupSnapshot
 };
 
 /**
+ * Where a warm-up of N records ends in a decoded stream: after @p
+ * instrs of the instructions just before data reference @p ref (ref
+ * == dataRefs: inside the trailing run). Both loops resolve the
+ * global record index once, then snapshot when they reach ref.
+ */
+struct WarmupPoint
+{
+    /** ref of a run without warm-up: no data ref ever matches it. */
+    static constexpr std::uint64_t none = ~std::uint64_t{0};
+
+    std::uint64_t ref = none;
+    std::uint64_t instrs = 0;
+};
+
+/**
+ * Resolve a warm-up of @p warmup_refs records (0 = none) in @p
+ * decoded. Fatal when the warm-up consumes the whole trace — the
+ * message the record-at-a-time loop gave after running it.
+ */
+WarmupPoint locateWarmup(const DecodedTrace &decoded,
+                         std::uint64_t warmup_refs);
+
+/**
  * The measured window of a finished run of @p decoded: @p protocol's
  * totals minus @p warmup, labelled with the scheme and trace. Phases
  * are the caller's.

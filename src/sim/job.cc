@@ -193,6 +193,13 @@ traceChecksumFnv64(const DecodedTrace &decoded)
     foldArray(state, decoded.ops);
     foldArray(state, decoded.blocks);
     foldArray(state, decoded.caches);
+    foldArray(state, decoded.instrRuns);
+    for (const DecodedTrace::LongInstrRun &run : decoded.longInstrRuns) {
+        const std::uint64_t words[2] = {run.ref, run.instrs};
+        foldWords(state, words, sizeof(words));
+    }
+    const std::uint64_t trailing = decoded.trailingInstrs;
+    foldWords(state, &trailing, sizeof(trailing));
     foldArray(state, decoded.denseToBlock);
     return state;
 }
@@ -432,14 +439,15 @@ struct ShardPart
  * Replay the whole stream against a per-shard protocol arena,
  * skipping blocks owned by other shards. The loop is the dense
  * simulateTrace() statement sequence with one added membership test;
- * the global `processed` counter (every record, skipped or not)
- * keeps the warm-up boundary at the same record index in every
- * shard, which is what makes per-shard (total - warmup) subtraction
- * sum to the sequential cell's exactly.
+ * every shard gets the same global warm-up point @p warm, so each
+ * takes its snapshot at the same record index, which is what makes
+ * per-shard (total - warmup) subtraction sum to the sequential
+ * cell's exactly. Instruction runs touch no block; shard 0 owns them
+ * so the merged Instr count matches the sequential cell.
  */
 ShardPart
 runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
-         const SimConfig &config,
+         const SimConfig &config, const WarmupPoint &warm,
          const std::vector<std::uint32_t> &shard_of, unsigned shard,
          const ShardSinkFactory &make_sink)
 {
@@ -456,29 +464,29 @@ runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
     protocol.reserveBlocks(decoded.blockCount(),
                            decoded.denseToBlock.data());
 
-    std::uint64_t data_refs = 0;
-    std::uint64_t processed = 0;
+    const bool counts_instrs = shard == 0;
     WarmupSnapshot warmup;
-    bool warmup_taken = config.warmupRefs == 0;
-
-    const std::uint64_t num_records = decoded.numRecords();
-    for (std::uint64_t i = 0; i < num_records; ++i) {
-        if (!warmup_taken && processed >= config.warmupRefs) {
+    // Count @p instrs instructions, snapshotting warm.instrs into
+    // them when the warm-up ends in this run.
+    const auto run_instrs = [&](std::uint64_t instrs, bool warm_here) {
+        if (warm_here) {
+            if (counts_instrs)
+                protocol.instructions(warm.instrs);
             warmup.take(protocol);
-            warmup_taken = true;
+            instrs -= warm.instrs;
         }
-        ++processed;
-        const std::uint8_t op = decoded.ops[i];
-        if ((op & decodedOpKindMask) == decodedOpInstr) {
-            // Instructions touch no block; shard 0 owns them so the
-            // merged Instr count matches the sequential cell.
-            if (shard == 0)
-                protocol.instruction();
-            continue;
-        }
+        if (counts_instrs)
+            protocol.instructions(instrs);
+    };
+
+    std::uint64_t data_refs = 0;
+    const std::uint64_t num_refs = decoded.dataRefs;
+    for (std::uint64_t i = 0; i < num_refs; ++i) {
+        run_instrs(decoded.instrsBefore(i), i == warm.ref);
         const std::uint32_t index = decoded.blocks[i];
         if (shard_of[index] != shard)
             continue;
+        const std::uint8_t op = decoded.ops[i];
         const CacheId cache = decoded.caches[i];
         const bool first_ref = (op & decodedOpFirstRef) != 0;
         if ((op & decodedOpKindMask) == decodedOpRead)
@@ -493,10 +501,7 @@ runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
             protocol.checkAllInvariants();
         }
     }
-    fatalIf(!warmup_taken,
-            "warm-up of ", config.warmupRefs,
-            " references consumed the whole trace (",
-            processed, " references)");
+    run_instrs(decoded.trailingInstrs, warm.ref == num_refs);
     if (config.invariantCheckPeriod != 0)
         protocol.checkAllInvariants();
 
@@ -543,6 +548,7 @@ simulateTraceSharded(const DecodedTrace &decoded,
             "' has no references");
     fatalIf(decoded.numRecords() == 0,
             "cannot simulate an empty trace");
+    const WarmupPoint warm = locateWarmup(decoded, config.warmupRefs);
 
     // Round-robin block ownership: balanced for free, and stable so
     // a run is reproducible for a given K.
@@ -553,7 +559,7 @@ simulateTraceSharded(const DecodedTrace &decoded,
     std::vector<ShardPart> parts(k);
     const std::uint64_t parallel_start = PhaseTimer::nowNs();
     runIndexed(k, ThreadPool::hardwareThreads(), [&](std::size_t shard) {
-        parts[shard] = runShard(decoded, scheme, config, shard_of,
+        parts[shard] = runShard(decoded, scheme, config, warm, shard_of,
                                 static_cast<unsigned>(shard), make_sink);
     });
     const std::uint64_t parallel_ns =

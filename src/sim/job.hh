@@ -149,8 +149,9 @@ std::uint64_t traceChecksumFnv64(const Trace &trace);
 /**
  * 64-bit checksum of a decoded stream's name, geometry, and arrays:
  * FNV-1a over the name bytes, then the FNV xor-multiply step over the
- * shape and the arrays in 8-byte host-order words (with a
- * high-to-low fold per word), an eighth of the bytewise multiplies.
+ * shape and the arrays — instruction run lengths included — in
+ * 8-byte host-order words (with a high-to-low fold per word), an
+ * eighth of the bytewise multiplies.
  * Decoding is deterministic, so a file and the in-memory trace read
  * from it produce the same decoded checksum.
  */

@@ -74,6 +74,19 @@ parseFlags(const std::string &field, std::size_t line_no)
     return flags;
 }
 
+/**
+ * Rethrow the UsageError being handled with the file the reader was
+ * opened on (@p origin) named up front; a stream reader (empty
+ * origin) rethrows it unchanged. Call only from a catch handler.
+ */
+[[noreturn]] void
+rethrowNamingFile(const std::string &origin, const UsageError &error)
+{
+    if (origin.empty())
+        throw;
+    throw UsageError("trace file '" + origin + "': " + error.what());
+}
+
 } // namespace
 
 Trace
@@ -97,10 +110,14 @@ BinaryTraceReader::BinaryTraceReader(std::istream &is_arg) : is(is_arg)
 }
 
 BinaryTraceReader::BinaryTraceReader(const std::string &path)
-    : owned(path, std::ios::binary), is(owned)
+    : owned(path, std::ios::binary), is(owned), origin(path)
 {
-    fatalIf(!owned, "cannot open '", path, "' for reading");
-    parseHeader();
+    try {
+        fatalIf(!owned, "cannot open for reading");
+        parseHeader();
+    } catch (const UsageError &error) {
+        rethrowNamingFile(origin, error);
+    }
 }
 
 void
@@ -211,6 +228,16 @@ BinaryTraceReader::verifyTrailer()
 bool
 BinaryTraceReader::next(TraceRecord &record)
 {
+    try {
+        return nextRecord(record);
+    } catch (const UsageError &error) {
+        rethrowNamingFile(origin, error);
+    }
+}
+
+bool
+BinaryTraceReader::nextRecord(TraceRecord &record)
+{
     if (index >= count) {
         if (!drained)
             verifyTrailer();
@@ -256,10 +283,14 @@ TextTraceReader::TextTraceReader(std::istream &is_arg) : is(is_arg)
 }
 
 TextTraceReader::TextTraceReader(const std::string &path)
-    : owned(path), is(owned)
+    : owned(path), is(owned), origin(path)
 {
-    fatalIf(!owned, "cannot open '", path, "' for reading");
-    parseLeadingHeader();
+    try {
+        fatalIf(!owned, "cannot open for reading");
+        parseLeadingHeader();
+    } catch (const UsageError &error) {
+        rethrowNamingFile(origin, error);
+    }
 }
 
 void
@@ -354,6 +385,16 @@ TextTraceReader::parseLeadingHeader()
 
 bool
 TextTraceReader::next(TraceRecord &record)
+{
+    try {
+        return nextRecord(record);
+    } catch (const UsageError &error) {
+        rethrowNamingFile(origin, error);
+    }
+}
+
+bool
+TextTraceReader::nextRecord(TraceRecord &record)
 {
     if (havePending) {
         record = pending;

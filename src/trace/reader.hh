@@ -16,7 +16,8 @@
  *    validation rule above.
  *
  * Every malformed input is rejected with a UsageError naming the
- * offending line (text) or byte offset (binary); no input, however
+ * offending line (text) or byte offset (binary), and, for a reader
+ * opened on a path, starting "trace file '<path>': "; no input, however
  * hostile, causes a crash, an uncaught exception of another type, or
  * an allocation the input's actual size does not back.
  */
@@ -54,7 +55,7 @@ class BinaryTraceReader : public TraceSource
     /** Stream from @p is_arg (not owned; must outlive the reader). */
     explicit BinaryTraceReader(std::istream &is_arg);
 
-    /** Open @p path and stream from it. */
+    /** Open @p path and stream from it; every error names @p path. */
     explicit BinaryTraceReader(const std::string &path);
 
     bool next(TraceRecord &record) override;
@@ -67,12 +68,15 @@ class BinaryTraceReader : public TraceSource
     std::uint16_t version() const { return ver; }
 
   private:
+    /** next() without the file naming of its errors. */
+    bool nextRecord(TraceRecord &record);
     void parseHeader();
     void readBytes(void *out, std::size_t size, const char *what);
     void verifyTrailer();
 
     std::ifstream owned; ///< backing file for the path constructor
     std::istream &is;
+    std::string origin; ///< the path constructor's file, named in errors
     std::string traceName;
     unsigned cpus = 0;
     std::uint16_t ver = 0;
@@ -100,7 +104,7 @@ class TextTraceReader : public TraceSource
     /** Stream from @p is_arg (not owned; must outlive the reader). */
     explicit TextTraceReader(std::istream &is_arg);
 
-    /** Open @p path and stream from it. */
+    /** Open @p path and stream from it; every error names @p path. */
     explicit TextTraceReader(const std::string &path);
 
     bool next(TraceRecord &record) override;
@@ -109,12 +113,15 @@ class TextTraceReader : public TraceSource
     const char *format() const override { return "text"; }
 
   private:
+    /** next() without the file naming of its errors. */
+    bool nextRecord(TraceRecord &record);
     void parseLeadingHeader();
     void parseHeaderLine(const std::string &line);
     bool parseRecordLine(const std::string &line, TraceRecord &record);
 
     std::ifstream owned; ///< backing file for the path constructor
     std::istream &is;
+    std::string origin; ///< the path constructor's file, named in errors
     std::string traceName;
     unsigned cpus = 0;
     std::size_t lineNo = 0;
@@ -128,7 +135,8 @@ class TextTraceReader : public TraceSource
  * text traces, everything else binary (the trace_tool convention).
  *
  * @throws UsageError if the file cannot be opened or its header is
- *         malformed
+ *         malformed; this and every later error of the source start
+ *         with "trace file '<path>': "
  */
 std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
 

@@ -167,8 +167,8 @@ TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
 TEST(ProtocolBaseTest, InstructionCountingOnly)
 {
     test::Reserved<MiniProtocol> protocol(2);
-    protocol.instruction();
-    protocol.instruction();
+    protocol.instructions(1);
+    protocol.instructions(1);
     EXPECT_EQ(protocol.events().count(EventType::Instr), 2u);
     EXPECT_EQ(protocol.events().totalRefs(), 2u);
     EXPECT_TRUE(protocol.residentBlocks().empty());

@@ -321,6 +321,14 @@ TEST_F(PlanDecodeTest, FirstFailingStreamWinsAtAnyWorkerCount)
                 {TraceRef::file(garbage), parseScheme("Dir0B"), {}});
     for (int repeat = 0; repeat < 5; ++repeat)
         EXPECT_EQ(error_at(4), serial);
+
+    // A missing file is named once, ahead of the reader's diagnosis.
+    const std::string missing = (dir / "missing.trace").string();
+    jobs.insert(jobs.begin(),
+                {TraceRef::file(missing), parseScheme("Dir0B"), {}});
+    for (const unsigned workers : {1u, 4u})
+        EXPECT_EQ(error_at(workers),
+                  "trace file '" + missing + "': cannot open for reading");
 }
 
 TEST_F(PlanDecodeTest, DecodesRenderOnWorkerLanes)

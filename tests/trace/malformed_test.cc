@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -344,6 +345,83 @@ TEST(MalformedTraceTest, TextDiagnosticsNameTheLine)
     expectTextRejected("# name: x\n# cpus: 2\n0 1 read 40 -\n"
                        "1 1 write 80 -\n0 1 read nope -\n",
                        "line 5");
+}
+
+// --- file readers name the file --------------------------------------------
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++count;
+    return count;
+}
+
+/** The UsageError of draining openTraceSource(@p path). */
+std::string
+fileError(const std::string &path)
+{
+    try {
+        const auto source = openTraceSource(path);
+        TraceRecord record;
+        while (source->next(record)) {
+        }
+    } catch (const UsageError &error) {
+        return error.what();
+    }
+    return "no error";
+}
+
+TEST(MalformedTraceTest, FileReadersNameTheFileOnce)
+{
+    const std::string dir = testing::TempDir();
+    const auto file = [&](const std::string &name,
+                          const std::string &bytes) {
+        const std::string path = dir + "/malformed_" + name;
+        std::ofstream(path, std::ios::binary) << bytes;
+        return path;
+    };
+
+    const std::string missing = dir + "/malformed_missing.trace";
+    EXPECT_EQ(fileError(missing),
+              "trace file '" + missing + "': cannot open for reading");
+
+    // Header errors, record errors and trailer errors alike.
+    std::string bad_version = binaryBytes();
+    bad_version[4] = 'x';
+    bad_version[5] = 'x';
+    std::string bad_checksum = binaryBytes();
+    bad_checksum[headerBytes] =
+        static_cast<char>(bad_checksum[headerBytes] ^ 0x01);
+    const std::pair<std::string, std::string> cases[] = {
+        {file("version.trace", bad_version),
+         "unsupported binary trace version 30840"},
+        {file("type.trace",
+              binaryBytes().replace(headerBytes + 14, 1, 1, '\x07')),
+         "invalid type"},
+        {file("checksum.trace", bad_checksum), "checksum mismatch"},
+        {file("flags.txt", "# cpus: 2\n0 1 read 40 bogus\n"),
+         "line 2: unknown flag"},
+    };
+    for (const auto &[path, needle] : cases) {
+        const std::string message = fileError(path);
+        EXPECT_EQ(message.rfind("trace file '" + path + "': ", 0), 0u)
+            << message;
+        EXPECT_EQ(countOf(message, path), 1u) << message;
+        EXPECT_NE(message.find(needle), std::string::npos) << message;
+    }
+
+    // The whole-file readers share the constructors.
+    try {
+        readBinaryTraceFile(cases[0].first);
+        ADD_FAILURE() << "bad version accepted";
+    } catch (const UsageError &error) {
+        EXPECT_EQ(countOf(error.what(), cases[0].first), 1u)
+            << error.what();
+    }
 }
 
 } // namespace
